@@ -29,17 +29,6 @@ from repro.analysis.domains import (
     IntervalState,
 )
 from repro.analysis.framework import Domain, solve
-from repro.analysis.impact import (
-    ChangeSet,
-    FunctionSignature,
-    ImpactSet,
-    ProgramFingerprint,
-    compute_impact,
-    diff_fingerprints,
-    fingerprint_program,
-    function_signature,
-    program_line_map,
-)
 from repro.analysis.intervals import Interval, width_bounds
 from repro.analysis.loops import (
     LoopBound,
@@ -62,15 +51,6 @@ __all__ = [
     "IntervalState",
     "Domain",
     "solve",
-    "ChangeSet",
-    "FunctionSignature",
-    "ImpactSet",
-    "ProgramFingerprint",
-    "compute_impact",
-    "diff_fingerprints",
-    "fingerprint_program",
-    "function_signature",
-    "program_line_map",
     "Interval",
     "width_bounds",
     "LoopBound",

@@ -21,7 +21,7 @@ table consumed by the range-guided encoder).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from repro.analysis.domains import (
@@ -33,16 +33,9 @@ from repro.analysis.domains import (
     LiveLocalsDomain,
 )
 from repro.analysis.framework import solve
-from repro.analysis.incremental import (
-    AnalysisCache,
-    FunctionProducts,
-    RoundRecord,
-    environment_matches,
-    function_reads,
-)
 from repro.analysis.intervals import Interval
 from repro.analysis.loops import LoopBound, infer_loop_bounds, lint_loops
-from repro.cfg.graph import FunctionGraph, build_function_graph, build_program_graphs
+from repro.cfg.graph import FunctionGraph, build_program_graphs
 from repro.lang import ast
 from repro.lang.diagnostics import ERROR, WARNING, Diagnostic, has_errors
 from repro.lang.semantics import DEFAULT_WIDTH
@@ -81,9 +74,6 @@ class AnalysisResult:
     loop_bounds: dict[tuple[str, int], LoopBound] = field(default_factory=dict)
     graphs: dict[str, FunctionGraph] = field(default_factory=dict)
     states: dict[str, dict[int, IntervalState]] = field(default_factory=dict)
-    #: Round-trajectory cache recorded by this run (``record_cache=True``);
-    #: stored in compiled artifacts to seed later incremental runs.
-    cache: Optional[AnalysisCache] = None
 
     @property
     def has_errors(self) -> bool:
@@ -150,10 +140,6 @@ def analyze_program(
     entry: str = "main",
     entry_inputs: Optional[Union[Mapping[str, int], Sequence[int]]] = None,
     width: int = DEFAULT_WIDTH,
-    record_cache: bool = False,
-    base_cache: Optional[AnalysisCache] = None,
-    reusable: Optional[Iterable[str]] = None,
-    line_map: Optional[Mapping[int, int]] = None,
     unwind: int = 16,
     unwind_planning: bool = False,
 ) -> AnalysisResult:
@@ -163,41 +149,8 @@ def analyze_program(
     run; the loop bounds themselves are unwind-independent, but the
     ``unwind-insufficient`` lint compares proven trip counts against the
     unrollings that encoding would actually perform.
-
-    ``record_cache`` additionally captures the round trajectory (see
-    :mod:`repro.analysis.incremental`) in ``result.cache``.  ``base_cache``
-    plus ``reusable`` (the names hash-identical to the recording program)
-    and ``line_map`` (that program's lines mapped onto this one) make the
-    run *incremental*: a reusable function whose interprocedural
-    environment matches the recorded round is replayed from the cache
-    instead of re-solved.  A hit replays exactly what the live solve would
-    produce and a mismatch falls back to the live solve, so the result is
-    value-identical to a cold run either way.
     """
-    reuse_names = frozenset(reusable) if reusable is not None else frozenset()
-    if entry_inputs is not None:
-        # Pinned-input runs (the concolic tracer) have per-test
-        # trajectories; neither record nor reuse whole-program caches.
-        record_cache = False
-        base_cache = None
-    if base_cache is not None and not base_cache.usable_for(entry, width):
-        base_cache = None
-    if base_cache is not None and line_map is None:
-        line_map = {}
-
-    incremental = base_cache is not None
-    graphs: dict[str, FunctionGraph]
-    if incremental:
-        # Lazy graphs: reused functions never need their CFG built.
-        graphs = {}
-    else:
-        graphs = build_program_graphs(program)
-
-    def graph_of(name: str) -> FunctionGraph:
-        graph = graphs.get(name)
-        if graph is None:
-            graph = graphs[name] = build_function_graph(program.functions[name])
-        return graph
+    graphs = build_program_graphs(program)
 
     # ---- the flow-insensitive global invariant, seeded from initializers
     global_scalars: dict[str, Interval] = {}
@@ -224,12 +177,6 @@ def analyze_program(
             if isinstance(stmt, ast.ArrayDecl):
                 array_sizes[stmt.name] = stmt.size
 
-    if base_cache is not None and base_cache.array_sizes != array_sizes:
-        # A changed function's local array declarations shift sizes other
-        # functions' OOB lints observe — whole-cache invalidation is the
-        # simple sound answer.
-        base_cache = None
-
     entry_params = _entry_param_intervals(program, entry, entry_inputs, width)
 
     # ---- call-argument / return-summary / global-invariant fixpoint
@@ -244,88 +191,33 @@ def analyze_program(
     domains: dict[str, IntervalDomain] = {}
     states: dict[str, dict[int, IntervalState]] = {}
 
-    reads_table: dict[str, tuple[frozenset, frozenset]] = {}
-
-    def reads_of(name: str) -> tuple[frozenset, frozenset]:
-        reads = reads_table.get(name)
-        if reads is None:
-            reads = reads_table[name] = function_reads(program.functions[name])
-        return reads
-
-    cache = (
-        AnalysisCache(entry=entry, width=width, array_sizes=dict(array_sizes))
-        if record_cache
-        else None
-    )
-    last_params: dict[str, dict[str, Interval]] = {}
-    last_round: Optional[RoundRecord] = None
-
     for round_index in range(MAX_ROUNDS):
         domains = {}
         states = {}
-        returns_now = {name: summaries[name].returns for name in summaries}
-        base_round = (
-            base_cache.rounds[round_index]
-            if base_cache is not None and round_index < len(base_cache.rounds)
-            else None
-        )
-        record = RoundRecord(
-            returns=returns_now,
-            global_scalars=dict(global_scalars),
-            global_arrays=dict(global_arrays),
-        )
-        last_round = record
-        outputs: dict[str, tuple] = {}
         for name, function in program.functions.items():
             params = _analysis_params(
                 name, function, entry, entry_params, call_args[name], width
             )
-            record.params[name] = params
-            last_params[name] = params
-            out = None
-            if base_round is not None and name in reuse_names:
-                out = base_round.outputs.get(name)
-                if out is not None and not environment_matches(
-                    name,
-                    reads_of(name),
-                    params,
-                    returns_now,
-                    global_scalars,
-                    global_arrays,
-                    base_round,
-                ):
-                    out = None
-            if out is None:
-                domain = IntervalDomain(
-                    function,
-                    params,
-                    global_scalars,
-                    global_arrays,
-                    array_sizes,
-                    summaries,
-                    width,
-                )
-                domains[name] = domain
-                states[name] = solve(graph_of(name), domain)
-                out = (
-                    domain.returned,
-                    domain.call_arguments,
-                    domain.global_scalar_writes,
-                    domain.global_array_writes,
-                )
-            outputs[name] = out
-        record.outputs = outputs
-        if cache is not None:
-            cache.rounds.append(record)
+            domain = IntervalDomain(
+                function,
+                params,
+                global_scalars,
+                global_arrays,
+                array_sizes,
+                summaries,
+                width,
+            )
+            domains[name] = domain
+            states[name] = solve(graphs[name], domain)
         changed = False
         widen = round_index >= WIDEN_ROUND
-        for name, (returned, call_arguments, scalar_writes, array_writes) in outputs.items():
+        for name, domain in domains.items():
             summary = summaries[name]
-            new_returns = _combine(summary.returns, returned, widen, width)
+            new_returns = _combine(summary.returns, domain.returned, widen, width)
             if new_returns != summary.returns:
                 summary.returns = new_returns
                 changed = True
-            for callee, arguments in call_arguments.items():
+            for callee, arguments in domain.call_arguments.items():
                 if callee not in call_args:
                     continue
                 target = call_args[callee]
@@ -336,8 +228,8 @@ def analyze_program(
                         target[param] = new
                         changed = True
             for store, writes in (
-                (global_scalars, scalar_writes),
-                (global_arrays, array_writes),
+                (global_scalars, domain.global_scalar_writes),
+                (global_arrays, domain.global_array_writes),
             ):
                 for gname, interval in writes.items():
                     old = store.get(gname, Interval.bottom())
@@ -349,8 +241,6 @@ def analyze_program(
             summary.params = dict(call_args[name])
         if not changed:
             break
-    if cache is not None:
-        cache.final = last_round
 
     diagnostics: list[Diagnostic] = []
     write_intervals: dict[tuple[str, int], Interval] = {}
@@ -363,113 +253,27 @@ def analyze_program(
     for gname, interval in global_arrays.items():
         variable_intervals[("", f"{gname}[]")] = interval
 
-    final_returns = {name: summaries[name].returns for name in summaries}
-
     for name, function in program.functions.items():
-        products = None
-        if (
-            base_cache is not None
-            and base_cache.final is not None
-            and name in reuse_names
-        ):
-            products = base_cache.products.get(name)
-            if products is not None and not environment_matches(
-                name,
-                reads_of(name),
-                last_params[name],
-                final_returns,
-                global_scalars,
-                global_arrays,
-                base_cache.final,
-            ):
-                products = None
-        if products is not None:
-            # The recorded products are keyed by the recording program's
-            # lines; remap positionally (identical bodies, shifted lines).
-            products = FunctionProducts(
-                write_intervals={
-                    line_map.get(line, line): interval
-                    for line, interval in products.write_intervals.items()
-                }
-                if line_map is not None
-                else dict(products.write_intervals),
-                flow_write_intervals={
-                    line_map.get(line, line): interval
-                    for line, interval in products.flow_write_intervals.items()
-                }
-                if line_map is not None
-                else dict(products.flow_write_intervals),
-                variable_intervals=products.variable_intervals,
-                diagnostics=tuple(
-                    replace(d, line=line_map.get(d.line, d.line))
-                    for d in products.diagnostics
-                )
-                if line_map is not None
-                else products.diagnostics,
-                loop_bounds={
-                    line_map.get(line, line): replace(
-                        bound, line=line_map.get(line, line)
-                    )
-                    for line, bound in products.loop_bounds.items()
-                }
-                if line_map is not None
-                else dict(products.loop_bounds),
-            )
-        else:
-            domain = domains.get(name)
-            function_states = states.get(name)
-            if domain is None or function_states is None:
-                # Reused in the final round, but the recorded products do
-                # not transfer (e.g. the two runs converged at different
-                # round counts): solve once more under the fixpoint
-                # environment, which the last round left unchanged.
-                domain = IntervalDomain(
-                    function,
-                    last_params.get(name, {}),
-                    global_scalars,
-                    global_arrays,
-                    array_sizes,
-                    summaries,
-                    width,
-                )
-                function_states = solve(graph_of(name), domain)
-                domains[name] = domain
-                states[name] = function_states
-            graph = graph_of(name)
-            observed = domain.observed_intervals(function_states)
-            local_writes: dict[tuple[str, int], Interval] = {}
-            local_flow: dict[tuple[str, int], Interval] = {}
-            _collect_write_intervals(
-                name, graph, function_states, domain, observed, local_writes
-            )
-            _collect_flow_write_intervals(
-                name, function, domain, observed, local_flow
-            )
-            products = FunctionProducts(
-                write_intervals={line: iv for (_, line), iv in local_writes.items()},
-                flow_write_intervals={line: iv for (_, line), iv in local_flow.items()},
-                variable_intervals=dict(observed),
-                diagnostics=tuple(
-                    _lint_function(name, function, graph, function_states, domain, width)
-                ),
-                loop_bounds=infer_loop_bounds(name, graph, function_states, domain),
-            )
-        for line, bound in products.loop_bounds.items():
-            loop_bounds[(name, line)] = bound
-        for line, interval in products.write_intervals.items():
-            write_intervals[(name, line)] = interval
-        for line, interval in products.flow_write_intervals.items():
-            flow_write_intervals[(name, line)] = interval
-        for var, interval in products.variable_intervals.items():
+        domain = domains[name]
+        function_states = states[name]
+        graph = graphs[name]
+        observed = domain.observed_intervals(function_states)
+        _collect_write_intervals(
+            name, graph, function_states, domain, observed, write_intervals
+        )
+        _collect_flow_write_intervals(
+            name, function, domain, observed, flow_write_intervals
+        )
+        for var, interval in observed.items():
             variable_intervals[(name, var)] = interval
-        diagnostics.extend(products.diagnostics)
-        if cache is not None:
-            cache.products[name] = products
-            cache.reads[name] = reads_of(name)
+        diagnostics.extend(
+            _lint_function(name, function, graph, function_states, domain, width)
+        )
+        for line, bound in infer_loop_bounds(
+            name, graph, function_states, domain
+        ).items():
+            loop_bounds[(name, line)] = bound
 
-    # Loop lints are derived outside the cached products: the verdicts are
-    # unwind-independent (and reusable across versions), while the lint
-    # compares them against this caller's unwind parameters.
     diagnostics.extend(
         lint_loops(loop_bounds.values(), unwind=unwind, unwind_planning=unwind_planning)
     )
@@ -485,7 +289,6 @@ def analyze_program(
         loop_bounds=loop_bounds,
         graphs=graphs,
         states=states,
-        cache=cache,
     )
 
 

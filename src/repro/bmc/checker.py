@@ -63,12 +63,6 @@ class _Frame:
 class BoundedModelChecker:
     """Bit-precise whole-program encoding, assertion checking and formulas."""
 
-    #: Installed by :mod:`repro.bmc.splice` while re-encoding a changed
-    #: region: called with (name, frame, guard) before a call subtree is
-    #: encoded, it may replay the callee's base-journal span instead and
-    #: return the result bits (None = encode live as usual).
-    _splice_call_hook = None
-
     def __init__(
         self,
         program: ast.Program,
@@ -111,7 +105,7 @@ class BoundedModelChecker:
         self.unwind_planning = unwind_planning
         self.loop_iteration_groups = loop_iteration_groups
         #: Per-loop unwind plans ``(function, guard line) -> (bound, proven)``;
-        #: seeded by :meth:`_encode` (or directly by the splice path).
+        #: seeded by :meth:`_encode`.
         self._unwind_plans: dict[tuple[str, int], tuple[int, bool]] = {}
         #: 1-based unrolling indices of the loops currently being encoded
         #: within the innermost function frame.
@@ -122,8 +116,8 @@ class BoundedModelChecker:
     def compile_options(self, entry: str = "main") -> dict:
         """The encoding options that determine the compiled CNF.
 
-        Stored inside every artifact; a journal replay only splices between
-        artifacts compiled with identical options.
+        Stored inside every artifact, so a session adopting the artifact
+        knows how it was encoded.
         """
         return {
             "entry": entry,
@@ -185,17 +179,11 @@ class BoundedModelChecker:
             return self._compile_program(entry)
 
     def _compile_program(self, entry: str) -> CompiledProgram:
-        input_bits, return_bits = self._encode(entry, journal=True)
+        input_bits, return_bits = self._encode(entry)
         context = self._context
         function = self.program.function(entry)
         analysis = self._analysis_for(entry)
         diagnostics = analysis.diagnostics if analysis is not None else ()
-        from repro.analysis.impact import fingerprint_program
-
-        # The journal shares its clause-list objects with hard/groups, so the
-        # artifact must share them too (copying would double the pickle and
-        # break the sharing the replay relies on); clause lists are treated
-        # as immutable by every consumer.
         compiled = CompiledProgram(
             program_name=self.program.name,
             entry=entry,
@@ -217,14 +205,9 @@ class BoundedModelChecker:
             diagnostics=diagnostics,
             pruned_lines=self._pruned_lines(),
             narrowed_vars=self._narrowed_vars,
-            fingerprint=fingerprint_program(self.program),
-            journal=context.journal,
-            group_table=list(context.group_table),
             compile_options=self.compile_options(entry),
-            narrowing_plans=self._narrowing_plan_table(),
             unwind_plans=dict(self._unwind_plans),
             truncated_loops=self._truncated_loops_for(analysis),
-            analysis_cache=analysis.cache if analysis is not None else None,
         )
         from repro.bmc.compiled import _set_encode_profile
 
@@ -287,12 +270,9 @@ class BoundedModelChecker:
 
     def encode_call(self, call: ast.Call) -> Bits:
         builder = self._builder
-        context = self._context
         if call.name == "nondet":
             bits = builder.fresh()
             self._nondet_bits.append(bits)
-            if context.journaling:
-                context.record(("nd", bits))
             return bits
         if len(self._frames) > self.max_call_depth:
             # Recursion beyond the bound: treat the result as unconstrained.
@@ -304,43 +284,11 @@ class BoundedModelChecker:
             frame.variables[param] = self._encoder.encode_argument(
                 arg, force=force_binding
             )
-        guard = self._current_guard
-        if self._splice_call_hook is not None:
-            replayed = self._splice_call_hook(call.name, frame, guard)
-            if replayed is not None:
-                return replayed
-        if context.journaling:
-            # Call-enter: the full interface the inlined subtree depends on.
-            # A journal replay re-encodes the subtree of a changed callee
-            # from exactly these bits (everything else about the callee's
-            # encoding is a function of them plus the program text).
-            group = context.current_group
-            context.record(
-                (
-                    "ce",
-                    call.name,
-                    len(self._frames),
-                    -1 if group is None else context.group_id(group),
-                    guard,
-                    tuple(frame.variables[param] for param in callee.params),
-                    self._globals_snapshot(),
-                )
-            )
-        self._run_function(callee, frame, guard)
+        self._run_function(callee, frame, self._current_guard)
         result = frame.return_value
         if result is None:
             result = builder.const(0)
-        if context.journaling:
-            # Call-exit: the bits the caller observes (result + globals).
-            context.record(("cx", call.name, result, self._globals_snapshot()))
         return result
-
-    def _globals_snapshot(self) -> tuple:
-        """The current global bindings as a hashable journal payload."""
-        return tuple(
-            (name, value if isinstance(value, tuple) else tuple(value))
-            for name, value in self._globals.items()
-        )
 
     def concrete_value(self, expr: ast.Expr) -> Optional[int]:
         return None
@@ -357,19 +305,10 @@ class BoundedModelChecker:
             try:
                 from repro.analysis import analyze_program
 
-                # The splice path seeds ``(base_cache, reusable, line_map)``
-                # so hash-identical functions replay their recorded rounds
-                # instead of re-solving; see repro.analysis.incremental.
-                seed = getattr(self, "_analysis_seed", None) or (None, None, None)
-                base_cache, reusable, line_map = seed
                 cache[entry] = analyze_program(
                     self.program,
                     entry=entry,
                     width=self.width,
-                    record_cache=True,
-                    base_cache=base_cache,
-                    reusable=reusable,
-                    line_map=line_map,
                     unwind=self.unwind,
                     unwind_planning=self.unwind_planning,
                 )
@@ -393,29 +332,8 @@ class BoundedModelChecker:
             return ()
         return tuple(sorted(self.program.statement_lines() - relevant))
 
-    def _narrowing_plan_table(self) -> dict[tuple[str, int], tuple[int, bool]]:
-        """Every non-trivial narrowing plan of the active analysis table.
-
-        Execution-independent (derived from the whole flow-insensitive
-        table, not from which writes the walk reached), so two versions'
-        tables can be compared per function without replaying anything —
-        the splice precondition for reusing encoded statements.
-        """
-        plans: dict[tuple[str, int], tuple[int, bool]] = {}
-        for key, interval in self._write_intervals.items():
-            plan = interval.narrowing_plan(self.width)
-            if plan is not None:
-                plans[key] = plan
-        return plans
-
     def _unwind_plan_table_for(self, analysis) -> dict[tuple[str, int], tuple[int, bool]]:
-        """Per-loop unwind plans derived from one analysis result.
-
-        Execution-independent (a pure function of the loop-bound verdicts
-        and the global unwind), so two versions' tables can be compared per
-        function without replaying anything — the splice precondition for
-        reusing encoded loops.
-        """
+        """Per-loop unwind plans derived from one analysis result."""
         if not self.unwind_planning or analysis is None or analysis.has_errors:
             return {}
         from repro.analysis.loops import plan_unwinds
@@ -453,18 +371,12 @@ class BoundedModelChecker:
             if plan is not None:
                 low_bits, signed = plan
                 self._narrowed_vars += self.width - low_bits
-                if self._context.journaling:
-                    self._context.record(("nw", self.width - low_bits))
                 return builder.fresh_narrowed(low_bits, signed)
         return builder.fresh()
 
-    def _encode(
-        self, entry: str, journal: bool = False
-    ) -> tuple[dict[str, Bits], Optional[Bits]]:
+    def _encode(self, entry: str) -> tuple[dict[str, Bits], Optional[Bits]]:
         """Encode the whole program; returns (input bit-vectors, return bits)."""
         self._context = ArenaEncodingContext(self.width)
-        if journal:
-            self._context.begin_journal()
         self._builder = CircuitBuilder(self._context, simplify=self.simplify)
         self._encoder = ExpressionEncoder(self._builder, self)
         self._violations: list[tuple[int, int]] = []
@@ -497,11 +409,7 @@ class BoundedModelChecker:
                 bits = builder.fresh()
                 frame.variables[param] = bits
                 input_bits[param] = bits
-                if self._context.journaling:
-                    self._context.record(("in", param, bits))
             self._run_function(function, frame, builder.true)
-            if self._context.journaling:
-                self._context.record(("ret", frame.return_value))
         phases["gates"] = timed.duration
         self._context.finalize()
         return input_bits, frame.return_value
@@ -575,8 +483,6 @@ class BoundedModelChecker:
         self._steps.append(
             TraceStep(line=stmt.line, function=function, kind=kind, iteration=iteration)
         )
-        if self._context.journaling:
-            self._context.record(("s", stmt.line, function, kind, iteration))
 
     def _exec(self, stmt: ast.Stmt, guard: int) -> None:
         builder = self._builder
@@ -651,8 +557,6 @@ class BoundedModelChecker:
                 violation = builder.bit_and(self._effective(guard), -condition)
             if builder._const_value(violation) is not False:
                 self._violations.append((stmt.line, violation))
-                if self._context.journaling:
-                    self._context.record(("viol", stmt.line, violation))
             self._record(stmt, "assert")
         elif isinstance(stmt, ast.Assume):
             # The condition gets its own relaxable copy (like branch

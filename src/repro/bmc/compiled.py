@@ -39,7 +39,7 @@ Bits = tuple[int, ...]
 #: :class:`~repro.encoding.context.StatementGroup`) change incompatibly, so a
 #: content-addressed store never deserializes a stale on-disk spill into a
 #: newer process — it recompiles instead.
-ARTIFACT_FORMAT_VERSION = 4
+ARTIFACT_FORMAT_VERSION = 5
 
 #: Magic prefix of a serialized artifact (sanity check before unpickling).
 _ARTIFACT_MAGIC = b"repro-artifact\x00"
@@ -191,45 +191,23 @@ class CompiledProgram:
     pruned_lines: tuple[int, ...] = ()
     #: Bits eliminated by analysis-guided range narrowing during compile.
     narrowed_vars: int = 0
-    #: Canonical per-function hashes of the compiled program
-    #: (:class:`~repro.analysis.impact.ProgramFingerprint`): the identity
-    #: the store's nearest-ancestor index and the change-impact diff use.
-    fingerprint: Optional[object] = None
-    #: Emission journal (see :class:`~repro.encoding.context.EncodingContext`):
-    #: every allocation/emission event in order, clause lists shared with
-    #: ``hard``/``groups``.  ``None`` for artifacts built without journaling.
-    journal: Optional[list] = None
-    #: Statement groups referenced by journal clause events, by index.
-    group_table: list = field(default_factory=list)
-    #: The checker options that produced this artifact (splice precondition).
+    #: The checker options that produced this artifact (sessions adopting
+    #: it read the loop options back).
     compile_options: dict = field(default_factory=dict)
-    #: ``(function, line) -> (low_bits, signed)`` narrowing plans actually
-    #: applied during the compile; a replay must prove these identical for
-    #: every unchanged function before reusing the encoding.
-    narrowing_plans: dict = field(default_factory=dict)
     #: ``(function, guard line) -> (iterations, proven)`` per-loop unwind
-    #: plans applied during the compile (``repro.analysis.loops``); subject
-    #: to the same splice precondition as ``narrowing_plans``.
+    #: plans applied during the compile (``repro.analysis.loops``).
     unwind_plans: dict = field(default_factory=dict)
     #: Loops whose proven minimum trip count exceeds what this encoding
     #: unrolled: executions through them are truncated, and localization
     #: reports derived from this artifact carry ``unwind_truncated=True``.
     truncated_loops: tuple = ()
-    #: Key of the base artifact this one was warm-compiled from (``None``
-    #: for cold compiles) plus the fraction of statements re-encoded.
-    spliced_from: Optional[str] = None
-    impact_fraction: Optional[float] = None
-    #: Round-trajectory cache of the abstract interpretation that narrowed
-    #: this encoding (:class:`repro.analysis.incremental.AnalysisCache`);
-    #: seeds the incremental re-analysis of later program versions.
-    analysis_cache: Optional[object] = None
 
     # ------------------------------------------------------------ statistics
 
     def encode_profile(self) -> dict:
         """Emission backend and per-phase wall times of the compile that
         produced this artifact: ``{"encode_backend": ..., "encode_phases":
-        {phase: seconds}}``.  Empty for unpickled or spliced artifacts —
+        {phase: seconds}}``.  Empty for unpickled artifacts —
         timings are observability data, not content, and never serialize."""
         return obs.profile_of(self)
 

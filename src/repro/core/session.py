@@ -91,9 +91,6 @@ class SessionStats:
     """Counters proving the compile-once contract (used by the benchmarks)."""
 
     encodings_built: int = 0
-    encodings_spliced: int = 0
-    splices_declined: int = 0
-    splices_declined_early: int = 0
     tests_localized: int = 0
     maxsat_calls: int = 0
     sat_calls: int = 0
@@ -127,7 +124,6 @@ class LocalizationSession:
         static_pruning: bool = True,
         unwind_planning: bool = False,
         loop_iteration_groups: bool = False,
-        base_artifact: Optional[CompiledProgram] = None,
     ) -> None:
         self.program = program
         self.width = width
@@ -142,9 +138,6 @@ class LocalizationSession:
         self.static_pruning = static_pruning
         self.unwind_planning = unwind_planning
         self.loop_iteration_groups = loop_iteration_groups
-        #: Optional prior-version artifact to splice the encoding from
-        #: instead of compiling cold; a declined splice falls back silently.
-        self.base_artifact = base_artifact
         self.stats = SessionStats()
         #: Solver-effort profile of the most recent :meth:`localize` call
         #: (the innermost engine layer's deltas), for per-request reporting.
@@ -226,7 +219,6 @@ class LocalizationSession:
         session.loop_iteration_groups = bool(
             options.get("loop_iteration_groups", False)
         )
-        session.base_artifact = None
         session.stats = SessionStats()
         session.last_request_profile = {}
         session._compiled = compiled
@@ -239,15 +231,10 @@ class LocalizationSession:
 
     @property
     def compiled(self) -> CompiledProgram:
-        """The whole-program encoding, built on first use and then reused.
-
-        With a ``base_artifact`` the build is warm: the prior version's
-        emission journal is spliced (unchanged functions replayed, impacted
-        ones re-encoded) and falls back to a cold compile when the diff is
-        not spliceable.  Warm or cold, the encoding is byte-equivalent.
-        """
+        """The whole-program encoding, built on first use and then reused."""
         if self._compiled is None:
-            checker_kwargs = dict(
+            checker = BoundedModelChecker(
+                self.program,
                 width=self.width,
                 unwind=self.unwind,
                 group_statements=True,
@@ -256,27 +243,7 @@ class LocalizationSession:
                 unwind_planning=self.unwind_planning,
                 loop_iteration_groups=self.loop_iteration_groups,
             )
-            if self.base_artifact is not None:
-                from repro.bmc.splice import splice_compile
-
-                # A declined splice leaves its checker's encoder state
-                # dirty, so the cold fallback builds a fresh one.
-                outcome: dict = {}
-                self._compiled = splice_compile(
-                    self.base_artifact,
-                    BoundedModelChecker(self.program, **checker_kwargs),
-                    entry=self.entry,
-                    outcome=outcome,
-                )
-                if self._compiled is not None:
-                    self.stats.encodings_spliced += 1
-                elif outcome.get("declined"):
-                    self.stats.splices_declined += 1
-                    if outcome.get("declined_early"):
-                        self.stats.splices_declined_early += 1
-            if self._compiled is None:
-                checker = BoundedModelChecker(self.program, **checker_kwargs)
-                self._compiled = checker.compile_program(entry=self.entry)
+            self._compiled = checker.compile_program(entry=self.entry)
             self.stats.encodings_built += 1
         return self._compiled
 

@@ -27,9 +27,9 @@ from repro.encoding.trace import TraceFormula, TraceStep
 def encode_backend() -> str:
     """Which CNF-emission backend new compiles use (``"c"`` or ``"python"``).
 
-    Controlled by ``REPRO_ENCODE`` (``auto``/``python``/``c``; unset
-    inherits ``REPRO_PROPAGATION``).  Both backends produce bit-identical
-    artifacts — this probe only reports which implementation will run.
+    Controlled by ``REPRO_BACKEND`` (``auto``/``python``/``c``).  Both
+    backends produce bit-identical artifacts — this probe only reports
+    which implementation will run.
     """
     from repro.sat import _ccore
 

@@ -23,11 +23,9 @@ from typing import Optional, Sequence
 from repro.encoding.arena import GateArena
 
 #: Worst-case per-gate cost used for capacity reservations: the largest
-#: gate is XOR3 (8 clauses, 32 literals) and a journalled gate costs at
-#: most a TAG_V run (2 words) plus a TAG_G record (6 words).
+#: gate is XOR3 (8 clauses, 32 literals).
 _CLAUSES_PER_GATE = 8
 _LITS_PER_GATE = 32
-_JOURNAL_PER_GATE = 8
 
 #: The multiplier kernel keeps its accumulator rows in fixed C-local
 #: arrays; wider vectors fall back to the Python composition.
@@ -49,7 +47,7 @@ class CEncoder:
         self._equals = library.repro_enc_equals
         self._uless = library.repro_enc_uless
         self._mux = library.repro_enc_mux
-        self._key: Optional[tuple[int, int, int, int]] = None
+        self._key: Optional[tuple[int, int, int]] = None
         self._ptrs: tuple = ()
         rehash = library.repro_enc_rehash
 
@@ -59,9 +57,9 @@ class CEncoder:
         arena.rehash_hook = rehash_hook
 
     def _pointers(self) -> tuple:
-        """The six buffer base addresses, refreshed after any growth."""
+        """The five buffer base addresses, refreshed after any growth."""
         arena = self.arena
-        key = (len(arena.lits), len(arena.cend), len(arena.js), len(arena.gtab))
+        key = (len(arena.lits), len(arena.cend), len(arena.gtab))
         if key != self._key:
             self._key = key
             self._ptrs = (
@@ -69,7 +67,6 @@ class CEncoder:
                 _addr(arena.lits),
                 _addr(arena.cend),
                 _addr(arena.cgid),
-                _addr(arena.js),
                 _addr(arena.gtab),
             )
         return self._ptrs
@@ -79,7 +76,6 @@ class CEncoder:
         arena = self.arena
         arena.ensure_gates(gates)
         arena.ensure_clauses(gates * _CLAUSES_PER_GATE, gates * _LITS_PER_GATE)
-        arena.ensure_journal(gates * _JOURNAL_PER_GATE)
 
     # ------------------------------------------------------------- dispatch
 

@@ -144,7 +144,7 @@ class CircuitBuilder:
         out = context.new_var()
         self._gate_cache[key] = out
         context.gates_emitted += 1
-        context.observe_gate(_OP_AND, a, b, out, 3)
+        context.observe_gate(_OP_AND, a, b, out)
         context.emit_gate([-a, -b, out])
         context.emit_gate([a, -out])
         context.emit_gate([b, -out])
@@ -202,7 +202,7 @@ class CircuitBuilder:
         out = context.new_var()
         self._gate_cache[key] = out
         context.gates_emitted += 1
-        context.observe_gate(_OP_XOR, pa, pb, out, 4)
+        context.observe_gate(_OP_XOR, pa, pb, out)
         context.emit_gate([-pa, -pb, -out])
         context.emit_gate([pa, pb, -out])
         context.emit_gate([-pa, pb, out])
@@ -285,7 +285,7 @@ class CircuitBuilder:
         out = context.new_var()
         self._gate_cache[key] = out
         context.gates_emitted += 1
-        context.observe_gate(_OP_ITE, cond * (1 << 32) + then_lit, else_lit, out, 4)
+        context.observe_gate(_OP_ITE, cond * (1 << 32) + then_lit, else_lit, out)
         context.emit_gate([-cond, -then_lit, out])
         context.emit_gate([-cond, then_lit, -out])
         context.emit_gate([cond, -else_lit, out])
@@ -366,7 +366,7 @@ class CircuitBuilder:
         out = context.new_var()
         self._gate_cache[key] = out
         context.gates_emitted += 1
-        context.observe_gate(_OP_XOR3, pa * (1 << 32) + pb, pc, out, 8)
+        context.observe_gate(_OP_XOR3, pa * (1 << 32) + pb, pc, out)
         context.emit_gate([pa, pb, pc, -out])
         context.emit_gate([pa, -pb, -pc, -out])
         context.emit_gate([-pa, pb, -pc, -out])
@@ -437,7 +437,7 @@ class CircuitBuilder:
         out = context.new_var()
         self._gate_cache[key] = out
         context.gates_emitted += 1
-        context.observe_gate(_OP_MAJ, pa * (1 << 32) + pb, pc, out, 6)
+        context.observe_gate(_OP_MAJ, pa * (1 << 32) + pb, pc, out)
         context.emit_gate([-pa, -pb, out])
         context.emit_gate([-pa, -pc, out])
         context.emit_gate([-pb, -pc, out])

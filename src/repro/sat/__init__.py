@@ -12,16 +12,17 @@ needs:
 * DIMACS CNF and WCNF reading/writing for interoperability and debugging.
 
 The solver's hot loops optionally run in a small C library compiled on
-first use (see :mod:`repro.sat._ccore` and ``search.c``), with two
-independently selectable layers:
+first use (see :mod:`repro.sat._ccore` and ``search.c``), with two layers:
 
-* **propagation** — two-watched-literal unit propagation
-  (``REPRO_PROPAGATION``, reported by :func:`propagation_backend`);
+* **propagation** — two-watched-literal unit propagation (reported by
+  :func:`propagation_backend`);
 * **search** — the full CDCL search kernel: propagation plus first-UIP
   conflict analysis with clause learning and minimization, backjumping,
   VSIDS activities, the order heap, phase saving, assumption decisions and
-  restarts (``REPRO_SEARCH``, reported by :func:`search_backend`; when the
-  variable is unset the search backend follows the propagation backend).
+  restarts (reported by :func:`search_backend`).
+
+``REPRO_BACKEND`` (``auto``/``python``/``c``) selects the backend of both
+layers, and of the CNF emission core, at once.
 
 Every backend combination implements the identical algorithms over the same
 flat buffers and produces identical models, conflicts, cores and
@@ -39,8 +40,8 @@ def propagation_backend() -> str:
     """Which propagation core new :class:`Solver` instances use by default.
 
     ``"c"`` when the compiled core is (or can be) loaded, ``"python"``
-    otherwise.  Force the fallback with ``REPRO_PROPAGATION=python``;
-    require the C core with ``REPRO_PROPAGATION=c``.
+    otherwise.  Force the fallback with ``REPRO_BACKEND=python``; require
+    the C core with ``REPRO_BACKEND=c``.
     """
     from repro.sat import _ccore
 
@@ -51,22 +52,20 @@ def search_backend() -> str:
     """Which search kernel new :class:`Solver` instances use by default.
 
     ``"c"`` when the compiled search kernel is (or can be) loaded,
-    ``"python"`` otherwise.  Controlled by ``REPRO_SEARCH``
-    (``auto``/``python``/``c``); when unset it inherits the
-    ``REPRO_PROPAGATION`` mode so a pinned pure-Python run stays pure end
-    to end.
+    ``"python"`` otherwise.  The kernel ships in the same library as the
+    propagation core, so this always agrees with
+    :func:`propagation_backend`.
     """
     from repro.sat import _ccore
 
-    return _ccore.search_backend()
+    return _ccore.backend()
 
 
 def propagation_core_unavailable_reason():
     """Why the C library is unavailable (``None`` when it loaded fine)."""
     from repro.sat import _ccore
 
-    _ccore.load_core()
-    return _ccore.unavailable_reason
+    return _ccore.core_unavailable_reason()
 
 
 __all__ = [

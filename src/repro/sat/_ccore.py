@@ -15,27 +15,22 @@ first use.  The library exports two entry points over the same flat
 
 Both implement the same algorithms step for step as the Python fallbacks,
 so every backend combination produces identical assignments, conflicts,
-cores and statistics.
+cores and statistics.  The CNF emission core (``encode.c``) and the
+clause materializer (``encode_py.c``) are separate tiny libraries built on
+demand through the same cache; both emission backends produce
+bit-identical artifacts.
 
-Selection is controlled by two environment variables with the same value
-set (``auto`` / ``python`` / ``c``):
+One environment variable, ``REPRO_BACKEND``, selects the backend of every
+layer (propagation, search, emission):
 
-* ``REPRO_PROPAGATION`` — the propagation core.  ``auto`` (default) uses
-  the compiled core when it can be built/loaded and falls back to pure
-  Python otherwise; ``python`` forces the fallback; ``c`` requires the
-  compiled core and raises when it cannot be loaded.
-* ``REPRO_SEARCH`` — the search kernel, same semantics.  When it is *not
-  set* it inherits the ``REPRO_PROPAGATION`` mode, so pinning
-  ``REPRO_PROPAGATION=python`` keeps the whole solver interpreted (CI's
-  fallback job stays pure) and the default ``auto`` build accelerates both
-  layers.  Set it explicitly to mix backends — e.g.
-  ``REPRO_PROPAGATION=python REPRO_SEARCH=auto`` runs the compiled search
-  kernel above a Python root-level propagator.
-* ``REPRO_ENCODE`` — the CNF emission core (``encode.c``, a separate tiny
-  library built on demand through the same cache).  Same value set and the
-  same inheritance rule: unset inherits ``REPRO_PROPAGATION``.  Both
-  emission backends produce bit-identical artifacts, so this knob is purely
-  a speed choice.
+* ``auto`` (default) — use each compiled core when it can be built and
+  loaded, and fall back to pure Python otherwise;
+* ``python`` — force the pure-Python fallbacks (no compiler is invoked);
+* ``c`` — require the compiled cores; a build or load failure raises.
+
+Per-solver ``Solver(backend=..., search=...)`` arguments still pick a
+layer's implementation explicitly; the differential suites use them to
+compare the two backends inside one process.
 
 The compiled artifact is cached under ``_build/`` next to this module
 (override the location with ``REPRO_SAT_BUILD_DIR``; CI's compiler-less job
@@ -79,42 +74,18 @@ _materialize_attempted = False
 _MODES = ("auto", "python", "c")
 
 
-def _env_mode(name: str) -> Optional[str]:
-    raw = os.environ.get(name)
+def backend_mode() -> str:
+    """The requested backend mode (``REPRO_BACKEND``, default ``auto``)."""
+    raw = os.environ.get("REPRO_BACKEND")
     if raw is None:
-        return None
+        return "auto"
     mode = raw.strip().lower()
     if mode not in _MODES:
-        raise ValueError(f"{name}={mode!r}: expected 'auto', 'python' or 'c'")
+        raise ValueError(f"REPRO_BACKEND={mode!r}: expected 'auto', 'python' or 'c'")
     return mode
 
 
-def propagation_mode() -> str:
-    """The requested propagation mode (``REPRO_PROPAGATION``, default auto)."""
-    return _env_mode("REPRO_PROPAGATION") or "auto"
-
-
-def search_mode() -> str:
-    """The requested search-kernel mode.
-
-    ``REPRO_SEARCH`` when set; otherwise inherited from
-    ``REPRO_PROPAGATION`` so a pinned pure-Python propagation run stays
-    pure end to end.
-    """
-    explicit = _env_mode("REPRO_SEARCH")
-    return explicit if explicit is not None else propagation_mode()
-
-
-def encode_mode() -> str:
-    """The requested CNF-emission mode.
-
-    ``REPRO_ENCODE`` when set; otherwise inherited from
-    ``REPRO_PROPAGATION`` (like ``REPRO_SEARCH``) so a pinned pure-Python
-    run stays interpreted across encoding, propagation and search without
-    setting three variables.
-    """
-    explicit = _env_mode("REPRO_ENCODE")
-    return explicit if explicit is not None else propagation_mode()
+_PINNED_PYTHON = "disabled by REPRO_BACKEND=python"
 
 
 def _find_compiler() -> Optional[str]:
@@ -229,19 +200,18 @@ def _compile() -> Path:
 
 
 def load_core() -> Optional[ctypes.CDLL]:
-    """Load (building if needed) the C library, or ``None`` when unavailable.
+    """Load (building if needed) the C solver library, or ``None``.
 
-    The library is only built when at least one of the two knobs wants a
-    compiled core; pinning both to ``python`` never invokes a compiler.
+    ``REPRO_BACKEND=python`` never invokes a compiler; ``REPRO_BACKEND=c``
+    turns a build or load failure into an error.
     """
     global _loaded, _attempted, unavailable_reason
     if _attempted:
         return _loaded
     _attempted = True
-    pmode = propagation_mode()
-    smode = search_mode()
-    if pmode == "python" and smode == "python":
-        unavailable_reason = "disabled by REPRO_PROPAGATION/REPRO_SEARCH=python"
+    mode = backend_mode()
+    if mode == "python":
+        unavailable_reason = _PINNED_PYTHON
         return None
     try:
         library = ctypes.CDLL(str(_compile()))
@@ -254,56 +224,49 @@ def load_core() -> Optional[ctypes.CDLL]:
         _loaded = library
     except Exception as error:  # compiler missing, sandboxed tmpdir, ...
         unavailable_reason = f"{type(error).__name__}: {error}"
-        required = []
-        if pmode == "c":
-            required.append("REPRO_PROPAGATION=c")
-        if smode == "c":
-            required.append("REPRO_SEARCH=c")
-        if required:
+        if mode == "c":
             raise RuntimeError(
-                f"{' and '.join(required)} but the C core failed to load: "
+                f"REPRO_BACKEND=c but the C solver core failed to load: "
                 f"{unavailable_reason}"
             ) from error
         _loaded = None
     return _loaded
 
 
-def load_encode_core() -> Optional[ctypes.CDLL]:
+def encode_library() -> Optional[ctypes.CDLL]:
     """Load (building if needed) the C emission core, or ``None``.
 
-    Separate library from the solver cores so ``REPRO_ENCODE=python`` never
-    compiles ``encode.c`` and a missing compiler degrades each layer
-    independently.  Raises only when ``REPRO_ENCODE`` (or the inherited
-    ``REPRO_PROPAGATION``) is pinned to ``c`` and the build fails.
+    Separate library from the solver cores, so a missing compiler degrades
+    each layer independently.  Raises only under ``REPRO_BACKEND=c``.
     """
     global _encode_loaded, _encode_attempted, encode_unavailable_reason
     if _encode_attempted:
         return _encode_loaded
     _encode_attempted = True
-    mode = encode_mode()
+    mode = backend_mode()
     if mode == "python":
-        encode_unavailable_reason = "disabled by REPRO_ENCODE/REPRO_PROPAGATION=python"
+        encode_unavailable_reason = _PINNED_PYTHON
         return None
     try:
         library = ctypes.CDLL(str(_compile_source(_ENCODE_SOURCE, "encode")))
         gate = library.repro_enc_gate
         gate.restype = ctypes.c_longlong
-        gate.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_longlong] * 4
+        gate.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_longlong] * 4
         add = library.repro_enc_add
         add.restype = None
-        add.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_longlong] * 2
+        add.argtypes = [ctypes.c_void_p] * 8 + [ctypes.c_longlong] * 2
         mul = library.repro_enc_mul
         mul.restype = None
-        mul.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_longlong]
+        mul.argtypes = [ctypes.c_void_p] * 8 + [ctypes.c_longlong]
         equals = library.repro_enc_equals
         equals.restype = ctypes.c_longlong
-        equals.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_longlong]
+        equals.argtypes = [ctypes.c_void_p] * 8 + [ctypes.c_longlong]
         uless = library.repro_enc_uless
         uless.restype = ctypes.c_longlong
-        uless.argtypes = [ctypes.c_void_p] * 8 + [ctypes.c_longlong]
+        uless.argtypes = [ctypes.c_void_p] * 7 + [ctypes.c_longlong]
         mux = library.repro_enc_mux
         mux.restype = None
-        mux.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_longlong] + [ctypes.c_void_p] * 3 + [ctypes.c_longlong]
+        mux.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_longlong] + [ctypes.c_void_p] * 3 + [ctypes.c_longlong]
         rehash = library.repro_enc_rehash
         rehash.restype = None
         rehash.argtypes = [
@@ -316,33 +279,17 @@ def load_encode_core() -> Optional[ctypes.CDLL]:
     except Exception as error:  # compiler missing, sandboxed tmpdir, ...
         encode_unavailable_reason = f"{type(error).__name__}: {error}"
         if mode == "c":
-            knob = (
-                "REPRO_ENCODE=c"
-                if _env_mode("REPRO_ENCODE") == "c"
-                else "REPRO_PROPAGATION=c (inherited by REPRO_ENCODE)"
-            )
             raise RuntimeError(
-                f"{knob} but the C encode core failed to load: "
+                f"REPRO_BACKEND=c but the C encode core failed to load: "
                 f"{encode_unavailable_reason}"
             ) from error
         _encode_loaded = None
     return _encode_loaded
 
 
-def encode_library() -> Optional[ctypes.CDLL]:
-    """The loaded C emission library, or ``None`` when unavailable/pinned."""
-    if encode_mode() == "python":
-        return None
-    return load_encode_core()
-
-
 def encode_unavailable() -> Optional[str]:
     """Why the C emission core cannot be used (``None`` when it can)."""
-    if encode_mode() == "python":
-        if _env_mode("REPRO_ENCODE") == "python":
-            return "disabled by REPRO_ENCODE=python"
-        return "disabled by REPRO_PROPAGATION=python (inherited by REPRO_ENCODE)"
-    load_encode_core()
+    encode_library()
     return encode_unavailable_reason
 
 
@@ -356,15 +303,15 @@ def load_materialize_core() -> Optional[ctypes.CDLL]:
 
     Built from ``encode_py.c`` against the interpreter's own headers and
     loaded with :class:`ctypes.PyDLL` (the entry point manipulates Python
-    objects under the GIL).  Follows the ``REPRO_ENCODE`` mode but never
-    raises: a missing Python.h only costs speed — the pure-Python
+    objects under the GIL).  Follows ``REPRO_BACKEND`` but never raises: a
+    missing Python.h only costs speed — the pure-Python
     :meth:`GateArena.materialize` walk produces the identical object graph.
     """
     global _materialize_loaded, _materialize_attempted
     if _materialize_attempted:
         return _materialize_loaded
     _materialize_attempted = True
-    if encode_mode() == "python":
+    if backend_mode() == "python":
         return None
     try:
         import sysconfig
@@ -382,10 +329,6 @@ def load_materialize_core() -> Optional[ctypes.CDLL]:
             ctypes.c_void_p,
             ctypes.c_void_p,
             ctypes.c_longlong,
-            ctypes.c_void_p,
-            ctypes.c_longlong,
-            ctypes.py_object,
-            ctypes.c_longlong,
             ctypes.c_longlong,
         ]
         _materialize_loaded = library
@@ -402,57 +345,26 @@ def materialize_function():
 
 def propagate_function():
     """The raw ``repro_propagate`` C function, or ``None``."""
-    if propagation_mode() == "python":
-        return None
     library = load_core()
     return None if library is None else library.repro_propagate
 
 
 def search_function():
     """The raw ``repro_search`` C function, or ``None``."""
-    if search_mode() == "python":
-        return None
     library = load_core()
     return None if library is None else library.repro_search
 
 
-def propagate_unavailable_reason() -> Optional[str]:
-    """Why ``repro_propagate`` cannot be used (``None`` when it can).
-
-    Distinguishes an environment pin from a genuine build/load failure so
-    error messages name the actual cause.
-    """
-    if propagation_mode() == "python":
-        return "disabled by REPRO_PROPAGATION=python"
-    load_core()
-    return unavailable_reason
-
-
-def search_unavailable_reason() -> Optional[str]:
-    """Why ``repro_search`` cannot be used (``None`` when it can)."""
-    if search_mode() == "python":
-        if _env_mode("REPRO_SEARCH") == "python":
-            return "disabled by REPRO_SEARCH=python"
-        return "disabled by REPRO_PROPAGATION=python (inherited by REPRO_SEARCH)"
+def core_unavailable_reason() -> Optional[str]:
+    """Why the C solver cores cannot be used (``None`` when they can)."""
     load_core()
     return unavailable_reason
 
 
 def backend() -> str:
-    """Which propagation backend new :class:`Solver` instances will use."""
-    return "c" if propagate_function() is not None else "python"
+    """Which solver backend new :class:`Solver` instances will use.
 
-
-def search_backend(follow: Optional[str] = None) -> str:
-    """Which search backend new :class:`Solver` instances will use.
-
-    ``follow`` is the propagation backend a specific solver resolved to:
-    when ``REPRO_SEARCH`` is not set explicitly, the solver's search
-    backend follows its propagation backend, so ``Solver(backend="python")``
-    is fully interpreted and ``Solver(backend="c")`` is fully compiled.
+    Propagation and search come from one library, so this answers for
+    both layers.
     """
-    if _env_mode("REPRO_SEARCH") is None and follow is not None:
-        if follow == "c" and search_function() is None:  # pragma: no cover
-            return "python"
-        return follow
-    return "c" if search_function() is not None else "python"
+    return "c" if load_core() is not None else "python"

@@ -2,13 +2,12 @@
  *
  * Operates on the same flat int64 buffers as the pure-Python arena
  * (repro/encoding/arena.py): the header scalar block, the clause literal
- * pool + end-offset/group-id indexes, the flat journal stream and the
- * open-addressed structure-hash gate table.  Every routine implements
- * exactly the same canonicalization, constant folding, clause order,
- * journal order and signature arithmetic as the Python mirror
- * (CircuitBuilder + GateArena), so a compile may interleave Python and C
- * emission freely and both backends produce bit-identical CNF, journals
- * and gate signatures.  Any divergence is a bug; the differential suite
+ * pool + end-offset/group-id indexes and the open-addressed structure-hash
+ * gate table.  Every routine implements exactly the same canonicalization,
+ * constant folding, clause order and signature arithmetic as the Python
+ * mirror (CircuitBuilder + GateArena), so a compile may interleave Python
+ * and C emission freely and both backends produce bit-identical CNF and
+ * gate signatures.  Any divergence is a bug; the differential suite
  * (tests/test_encode_backends.py) compares whole compiles across backends.
  *
  * Exported entry points (buffers first, then operands):
@@ -22,7 +21,7 @@
  *   repro_enc_mux      per-bit if-then-else.
  *
  * Capacity contract: the Python caller reserves worst-case room (gates,
- * clauses, literals, journal words, gate-table load factor < 1/2) before
+ * clauses, literals, gate-table load factor < 1/2) before
  * every call; the kernels never grow a buffer.  Vector lengths are capped
  * at 64 bits by the caller.
  */
@@ -35,31 +34,14 @@ typedef uint64_t u64;
 /* Header slots — keep in sync with repro/encoding/arena.py. */
 enum {
     H_NUM_VARS = 0,
-    H_PENDING = 1,
-    H_GATES = 2,
-    H_HITS = 3,
-    H_SIG = 4,
-    H_TRUE = 5,
-    H_NCLAUSES = 6,
-    H_LITS = 7,
-    H_JLEN = 8,
-    H_GMASK = 9,
-    H_GUSED = 10,
-    H_GID = 11,
-    H_JOURNAL = 12,
-    H_IFACE = 13
-};
-
-/* Flat journal tags — keep in sync with repro/encoding/arena.py. */
-enum {
-    TAG_V = 1,
-    TAG_C = 2,
-    TAG_G = 3,
-    TAG_T = 4,
-    TAG_RAW = 5,
-    TAG_CE = 6,
-    TAG_CX = 7,
-    TAG_GRP = 8
+    H_GATES = 1,
+    H_HITS = 2,
+    H_SIG = 3,
+    H_TRUE = 4,
+    H_NCLAUSES = 5,
+    H_LITS = 6,
+    H_GMASK = 7,
+    H_GUSED = 8
 };
 
 /* Gate opcodes — keep in sync with repro/encoding/circuits.py. */
@@ -70,7 +52,6 @@ typedef struct {
     i64 *lits;
     i64 *cend;
     i64 *cgid;
-    i64 *js;
     i64 *gtab;
 } Enc;
 
@@ -85,22 +66,9 @@ static u64 hash_key(i64 op, i64 k1, i64 k2) {
     return h;
 }
 
-static void flush_vars(Enc *e) {
-    i64 *h = e->hdr;
-    if (h[H_PENDING]) {
-        i64 j = h[H_JLEN];
-        e->js[j] = TAG_V;
-        e->js[j + 1] = h[H_PENDING];
-        h[H_JLEN] = j + 2;
-        h[H_PENDING] = 0;
-    }
-}
-
 static i64 new_var(Enc *e) {
     i64 *h = e->hdr;
     h[H_NUM_VARS] += 1;
-    if (h[H_JOURNAL])
-        h[H_PENDING] += 1;
     return h[H_NUM_VARS];
 }
 
@@ -146,9 +114,8 @@ static void insert(Enc *e, i64 op, i64 k1, i64 k2, i64 out) {
     e->hdr[H_GUSED] += 1;
 }
 
-/* Signature fold + "g" journal record for a fresh gate (mirror of
- * arena._observe: the gate owns its freshly allocated output variable). */
-static void observe(Enc *e, i64 op, i64 k1, i64 k2, i64 out, i64 ncl) {
+/* Signature fold for a fresh gate (mirror of arena._observe). */
+static void observe(Enc *e, i64 op, i64 k1, i64 k2, i64 out) {
     i64 *h = e->hdr;
     u64 sig = (u64)h[H_SIG];
     sig = (sig ^ (u64)(uint32_t)op) * 0x100000001B3ULL;
@@ -157,18 +124,6 @@ static void observe(Enc *e, i64 op, i64 k1, i64 k2, i64 out, i64 ncl) {
     sig = (sig ^ (u64)(uint32_t)out) * 0x100000001B3ULL;
     h[H_SIG] = (i64)sig;
     h[H_GATES] += 1;
-    if (h[H_JOURNAL]) {
-        h[H_PENDING] -= 1;
-        flush_vars(e);
-        i64 j = h[H_JLEN];
-        e->js[j] = TAG_G;
-        e->js[j + 1] = op;
-        e->js[j + 2] = k1;
-        e->js[j + 3] = k2;
-        e->js[j + 4] = out;
-        e->js[j + 5] = ncl;
-        h[H_JLEN] = j + 6;
-    }
 }
 
 /* ------------------------------------------------------------ scalar gates
@@ -203,7 +158,7 @@ static i64 enc_and(Enc *e, i64 a, i64 b) {
         return out;
     out = new_var(e);
     insert(e, OP_AND, a, b, out);
-    observe(e, OP_AND, a, b, out, 3);
+    observe(e, OP_AND, a, b, out);
     {
         i64 c1[3] = {-a, -b, out};
         i64 c2[2] = {a, -out};
@@ -245,7 +200,7 @@ static i64 enc_xor(Enc *e, i64 a, i64 b) {
     if (!out) {
         out = new_var(e);
         insert(e, OP_XOR, pa, pb, out);
-        observe(e, OP_XOR, pa, pb, out, 4);
+        observe(e, OP_XOR, pa, pb, out);
         {
             i64 c1[3] = {-pa, -pb, -out};
             i64 c2[3] = {pa, pb, -out};
@@ -291,7 +246,7 @@ static i64 enc_ite(Enc *e, i64 cond, i64 tl, i64 el) {
         return out;
     out = new_var(e);
     insert(e, OP_ITE, k1, el, out);
-    observe(e, OP_ITE, k1, el, out, 4);
+    observe(e, OP_ITE, k1, el, out);
     {
         i64 c1[3] = {-cond, -tl, out};
         i64 c2[3] = {-cond, tl, -out};
@@ -361,7 +316,7 @@ static i64 enc_xor3(Enc *e, i64 a, i64 b, i64 c) {
     if (!out) {
         out = new_var(e);
         insert(e, OP_XOR3, k1, pc, out);
-        observe(e, OP_XOR3, k1, pc, out, 8);
+        observe(e, OP_XOR3, k1, pc, out);
         {
             i64 c1[4] = {pa, pb, pc, -out};
             i64 c2[4] = {pa, -pb, -pc, -out};
@@ -419,7 +374,7 @@ static i64 enc_maj(Enc *e, i64 a, i64 b, i64 c) {
     if (!out) {
         out = new_var(e);
         insert(e, OP_MAJ, k1, pc, out);
-        observe(e, OP_MAJ, k1, pc, out, 6);
+        observe(e, OP_MAJ, k1, pc, out);
         {
             i64 c1[3] = {-pa, -pb, out};
             i64 c2[3] = {-pa, -pc, out};
@@ -456,8 +411,8 @@ static i64 gate_dispatch(Enc *e, i64 op, i64 a, i64 b, i64 c) {
 
 /* ----------------------------------------------------------- entry points */
 
-#define ENC_ARGS i64 *hdr, i64 *lits, i64 *cend, i64 *cgid, i64 *js, i64 *gtab
-#define ENC_INIT Enc enc = {hdr, lits, cend, cgid, js, gtab}
+#define ENC_ARGS i64 *hdr, i64 *lits, i64 *cend, i64 *cgid, i64 *gtab
+#define ENC_INIT Enc enc = {hdr, lits, cend, cgid, gtab}
 
 i64 repro_enc_gate(ENC_ARGS, i64 op, i64 a, i64 b, i64 c) {
     ENC_INIT;

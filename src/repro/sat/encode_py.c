@@ -1,14 +1,12 @@
 /* CPython-API materialization of the flat gate arena.
  *
  * The one arena routine that must create Python objects: at the end of a
- * compile the flat clause store and journal stream are turned back into
- * the legacy structures — clause ``list`` objects (shared between the
- * hard/grouped partitions and the journal's "c" events exactly as the
- * legacy emitter shares them) and the tuple journal.  Doing this walk in C
- * removes the dominant cost of large cold compiles, without changing a
- * byte of the result: the object graph built here is identical to the one
- * :meth:`GateArena.materialize` builds in pure Python, which remains the
- * always-available fallback.
+ * compile the flat clause store is turned back into the legacy clause
+ * ``list`` objects, partitioned into the hard set and the statement
+ * groups.  Doing this walk in C removes the dominant cost of large cold
+ * compiles, without changing a byte of the result: the object graph built
+ * here is identical to the one :meth:`GateArena.materialize` builds in
+ * pure Python, which remains the always-available fallback.
  *
  * Unlike the other cores this library includes Python.h, so it is built
  * only when the interpreter's headers are present and is loaded with
@@ -16,9 +14,8 @@
  * allocation machinery).
  *
  * Entry point:
- *   repro_materialize(lits, cend, cgid, nclauses, js, jlen, raw, ngroups,
- *                     journaling)
- *     -> (clauses, hard, grouped, journal | None)
+ *   repro_materialize(lits, cend, cgid, nclauses, ngroups)
+ *     -> (hard, grouped)
  */
 
 #include <Python.h>
@@ -26,82 +23,13 @@
 
 typedef int64_t i64;
 
-enum {
-    TAG_V = 1,
-    TAG_C = 2,
-    TAG_G = 3,
-    TAG_T = 4,
-    TAG_RAW = 5,
-    TAG_CE = 6,
-    TAG_CX = 7,
-    TAG_GRP = 8
-};
-
-/* Interned event-kind strings, created once per process. */
-static PyObject *s_c, *s_g, *s_v, *s_grp, *s_t;
-
-static int init_strings(void) {
-    if (s_c)
-        return 0;
-    s_c = PyUnicode_InternFromString("c");
-    s_g = PyUnicode_InternFromString("g");
-    s_v = PyUnicode_InternFromString("v");
-    s_grp = PyUnicode_InternFromString("grp");
-    s_t = PyUnicode_InternFromString("t");
-    if (!s_c || !s_g || !s_v || !s_grp || !s_t)
-        return -1;
-    return 0;
-}
-
-/* A journal tuple whose first slot is an interned kind string and whose
- * remaining slots are freshly built values (references are stolen). */
-static PyObject *event2(PyObject *kind, PyObject *a) {
-    if (!a)
-        return NULL;
-    PyObject *tuple = PyTuple_New(2);
-    if (!tuple) {
-        Py_XDECREF(a);
-        return NULL;
-    }
-    Py_INCREF(kind);
-    PyTuple_SET_ITEM(tuple, 0, kind);
-    PyTuple_SET_ITEM(tuple, 1, a);
-    return tuple;
-}
-
-static PyObject *event3(PyObject *kind, PyObject *a, PyObject *b) {
-    if (!a || !b) {
-        Py_XDECREF(a);
-        Py_XDECREF(b);
-        return NULL;
-    }
-    PyObject *tuple = PyTuple_New(3);
-    if (!tuple) {
-        Py_XDECREF(a);
-        Py_XDECREF(b);
-        return NULL;
-    }
-    Py_INCREF(kind);
-    PyTuple_SET_ITEM(tuple, 0, kind);
-    PyTuple_SET_ITEM(tuple, 1, a);
-    PyTuple_SET_ITEM(tuple, 2, b);
-    return tuple;
-}
-
 PyObject *repro_materialize(i64 *lits, i64 *cend, i64 *cgid, i64 nclauses,
-                            i64 *js, i64 jlen, PyObject *raw, i64 ngroups,
-                            i64 journaling) {
-    PyObject *clauses = NULL, *hard = NULL, *grouped = NULL, *journal = NULL;
+                            i64 ngroups) {
+    PyObject *hard = PyList_New(0);
+    PyObject *grouped = PyList_New(ngroups);
     PyObject *result = NULL;
 
-    if (init_strings() < 0)
-        return NULL;
-
-    /* ---- clause store -> list-of-list, partitioned by owning group ---- */
-    clauses = PyList_New(nclauses);
-    hard = PyList_New(0);
-    grouped = PyList_New(ngroups);
-    if (!clauses || !hard || !grouped)
+    if (!hard || !grouped)
         goto fail;
     for (i64 g = 0; g < ngroups; g++) {
         PyObject *bucket = PyList_New(0);
@@ -123,106 +51,18 @@ PyObject *repro_materialize(i64 *lits, i64 *cend, i64 *cgid, i64 nclauses,
             }
             PyList_SET_ITEM(clause, k - start, lit);
         }
-        PyList_SET_ITEM(clauses, i, clause); /* owns the reference */
         i64 gid = cgid[i];
         PyObject *bucket = gid < 0 ? hard : PyList_GET_ITEM(grouped, gid);
-        if (PyList_Append(bucket, clause) < 0)
+        int failed = PyList_Append(bucket, clause) < 0;
+        Py_DECREF(clause);
+        if (failed)
             goto fail;
         start = end;
     }
 
-    /* ---- flat journal stream -> legacy tuple journal ---- */
-    if (journaling) {
-        journal = PyList_New(0);
-        if (!journal)
-            goto fail;
-        i64 cursor = 0;
-        i64 pos = 0;
-        while (pos < jlen) {
-            i64 tag = js[pos];
-            PyObject *event = NULL;
-            if (tag == TAG_C) {
-                PyObject *clause = PyList_GET_ITEM(clauses, cursor);
-                Py_INCREF(clause); /* event3 steals this reference */
-                event = event3(s_c, PyLong_FromLongLong(cgid[cursor]), clause);
-                cursor += 1;
-                pos += 1;
-            } else if (tag == TAG_G) {
-                i64 count = js[pos + 5];
-                event = PyTuple_New(6);
-                if (!event)
-                    goto fail;
-                Py_INCREF(s_g);
-                PyTuple_SET_ITEM(event, 0, s_g);
-                for (int k = 1; k <= 5; k++) {
-                    PyObject *word = PyLong_FromLongLong(js[pos + k]);
-                    if (!word) {
-                        Py_DECREF(event);
-                        goto fail;
-                    }
-                    PyTuple_SET_ITEM(event, k, word);
-                }
-                if (PyList_Append(journal, event) < 0) {
-                    Py_DECREF(event);
-                    goto fail;
-                }
-                Py_DECREF(event);
-                event = NULL;
-                pos += 6;
-                for (i64 d = 0; d < count; d++) {
-                    PyObject *clause = PyList_GET_ITEM(clauses, cursor);
-                    Py_INCREF(clause); /* event3 steals this reference */
-                    PyObject *def = event3(s_c, PyLong_FromLongLong(-1), clause);
-                    if (!def)
-                        goto fail;
-                    cursor += 1;
-                    if (PyList_Append(journal, def) < 0) {
-                        Py_DECREF(def);
-                        goto fail;
-                    }
-                    Py_DECREF(def);
-                }
-                continue;
-            } else if (tag == TAG_V) {
-                event = event2(s_v, PyLong_FromLongLong(js[pos + 1]));
-                pos += 2;
-            } else if (tag == TAG_RAW || tag == TAG_CE || tag == TAG_CX) {
-                event = PyList_GetItem(raw, (Py_ssize_t)js[pos + 1]);
-                if (!event)
-                    goto fail;
-                Py_INCREF(event);
-                pos += 3 + js[pos + 2];
-            } else if (tag == TAG_GRP) {
-                event = event2(s_grp, PyLong_FromLongLong(js[pos + 1]));
-                pos += 2;
-            } else if (tag == TAG_T) {
-                event = event2(s_t, PyLong_FromLongLong(js[pos + 1]));
-                cursor += 1; /* the constant's hard unit occupies one slot */
-                pos += 2;
-            } else {
-                PyErr_Format(PyExc_AssertionError,
-                             "corrupt journal stream tag %lld",
-                             (long long)tag);
-                goto fail;
-            }
-            if (!event)
-                goto fail;
-            if (PyList_Append(journal, event) < 0) {
-                Py_DECREF(event);
-                goto fail;
-            }
-            Py_DECREF(event);
-        }
-    } else {
-        journal = Py_None;
-        Py_INCREF(journal);
-    }
-
-    result = PyTuple_Pack(4, clauses, hard, grouped, journal);
+    result = PyTuple_Pack(2, hard, grouped);
 fail:
-    Py_XDECREF(clauses);
     Py_XDECREF(hard);
     Py_XDECREF(grouped);
-    Py_XDECREF(journal);
     return result;
 }

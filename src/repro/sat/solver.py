@@ -55,9 +55,9 @@ order heap — is held in flat ``array``-backed buffers whenever either
 compiled backend is active (see :mod:`repro.sat._ccore`).  Two compiled
 entry points operate over that memory:
 
-* ``repro_propagate`` — the unit-propagation core (``REPRO_PROPAGATION``),
-  called once per search step by the pure-Python loop;
-* ``repro_search`` — the full CDCL *search kernel* (``REPRO_SEARCH``):
+* ``repro_propagate`` — the unit-propagation core, called once per search
+  step by the pure-Python loop;
+* ``repro_search`` — the full CDCL *search kernel*:
   propagation, first-UIP conflict analysis with clause learning and local
   minimization, backjumping, VSIDS bump/decay/rescale, the activity order
   heap, phase saving, assumption decisions and Luby restarts all run inside
@@ -234,10 +234,8 @@ class Solver:
     ``None`` for the process-wide default reported by
     :func:`repro.sat.propagation_backend`.
 
-    ``search`` selects the search kernel the same way (``"c"``,
-    ``"python"``, or ``None`` for the default reported by
-    :func:`repro.sat.search_backend`).  When ``REPRO_SEARCH`` is not set
-    explicitly the search backend follows the propagation backend, so
+    ``search`` selects the search kernel the same way (``"c"`` or
+    ``"python"``); ``None`` follows the propagation backend, so
     ``Solver(backend="python")`` is the fully interpreted solver and
     ``Solver(backend="c")`` runs the whole inner loop compiled.  Note that
     with ``search="c"`` the kernel performs its own propagation inline;
@@ -252,18 +250,13 @@ class Solver:
             backend = _ccore.backend()
         if backend not in ("c", "python"):
             raise ValueError(f"unknown propagation backend {backend!r}")
-        if backend == "c" and _ccore.propagate_function() is None:
-            raise RuntimeError(
-                "C propagation core unavailable: "
-                f"{_ccore.propagate_unavailable_reason()}"
-            )
         if search is None:
-            search = _ccore.search_backend(follow=backend)
+            search = backend
         if search not in ("c", "python"):
             raise ValueError(f"unknown search backend {search!r}")
-        if search == "c" and _ccore.search_function() is None:
+        if "c" in (backend, search) and _ccore.load_core() is None:
             raise RuntimeError(
-                f"C search kernel unavailable: {_ccore.search_unavailable_reason()}"
+                f"C solver core unavailable: {_ccore.core_unavailable_reason()}"
             )
         self.backend = backend
         self.search_backend = search

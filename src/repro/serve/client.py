@@ -133,7 +133,6 @@ class Client:
         program: str,
         name: Optional[str] = None,
         options: Optional[Mapping[str, Any]] = None,
-        base_artifact: Optional[str] = None,
         trace_id: Optional[str] = None,
     ) -> dict:
         merged = dict(options or {})
@@ -144,8 +143,6 @@ class Client:
             "program": program,
             "options": merged,
         }
-        if base_artifact is not None:
-            payload["base_artifact"] = base_artifact
         if trace_id is not None:
             payload[protocol.TRACE_FIELD] = trace_id
         return self.request(payload)

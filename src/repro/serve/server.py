@@ -316,11 +316,8 @@ class LocalizationServer:
         evict earlier ones before their shards are serialized).
         """
         if "program" in request:
-            base = request.get("base_artifact")
             key, compiled, _ = self.store.get_or_compile(
-                str(request["program"]),
-                compile_options,
-                base_artifact=str(base) if base is not None else None,
+                str(request["program"]), compile_options
             )
             return key, compiled
         key = request.get("artifact")
@@ -339,15 +336,12 @@ class LocalizationServer:
         if "program" not in request:
             raise ValueError("compile needs 'program' source text")
         compile_options, _ = _split_options(request.get("options"))
-        base = request.get("base_artifact")
         loop = asyncio.get_running_loop()
 
         def compile_bound():
             with obs.bind_trace(trace_ctx):
                 return self.store.get_or_compile(
-                    str(request["program"]),
-                    compile_options,
-                    base_artifact=str(base) if base is not None else None,
+                    str(request["program"]), compile_options
                 )
 
         key, compiled, source = await loop.run_in_executor(
@@ -358,8 +352,6 @@ class LocalizationServer:
             "artifact": key,
             "cached": source in ("memory", "disk"),
             "source": source,
-            "spliced_from": compiled.spliced_from,
-            "impact_fraction": compiled.impact_fraction,
             "program_name": compiled.program_name,
             "num_vars": compiled.num_vars,
             "num_clauses": compiled.num_clauses,

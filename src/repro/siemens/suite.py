@@ -225,24 +225,12 @@ class LargeBenchmarkResult:
     narrowed_vars: int = 0
     #: Whole-program encode time of the faulty version from scratch.
     encode_time_cold: float = 0.0
-    #: Whole-program encode time splicing the reference version's journal
-    #: (the faulty version differs by the seeded patch only); equals a cold
-    #: fallback when the splice declined (``warm_spliced`` False).
-    encode_time_warm: float = 0.0
-    #: Whether the warm encode actually spliced (False = declined, cold ran).
-    warm_spliced: bool = False
-    #: Fraction of journal groups the change-impact pass re-encoded on the
-    #: warm path (0.0 = everything replayed; None-like 1.0 when declined).
-    impact_fraction: float = 1.0
     #: Which emission backend filled the cold compile's buffers ("python"
     #: or "c"); both produce bit-identical artifacts.
     encode_backend: str = ""
     #: Wall-clock seconds per cold-encode phase (analysis, gate emission,
-    #: clause/journal materialization).
+    #: clause materialization).
     encode_phases: dict = field(default_factory=dict)
-    #: Whether a declined warm compile failed a precondition up front
-    #: (before paying for impact analysis or any journal replay).
-    splice_declined_early: bool = False
     #: Clauses the per-loop unwind plans removed from the whole-program
     #: encoding: flat compile minus the ``unwind_planning`` compile.
     unwind_pruned_clauses: int = 0
@@ -257,7 +245,7 @@ def run_large_benchmark(benchmark, max_candidates: int = 8) -> LargeBenchmarkRes
     benchmark's designated trace-reduction techniques — and BugAssist then
     localizes on the reduced formula.  Each run opens one trace
     (``bench.<name>``), so ``REPRO_TRACE=export`` yields a per-row Chrome
-    trace; the cold/warm encode times are span durations.
+    trace; the cold encode time is a span duration.
     """
     with obs.trace(
         f"bench.{benchmark.name}", attrs={"reduction": benchmark.reduction}
@@ -281,15 +269,12 @@ def _run_large_benchmark(benchmark, max_candidates: int) -> LargeBenchmarkResult
     test = list(benchmark.failing_test)
     spec = benchmark.specification()
 
-    # Incremental cross-version encode: the unpatched reference program
-    # stands in for the previously stored artifact, the faulty version for
-    # the new compile — the Table 3 analogue of re-localizing after an edit.
-    # Measured first, before the tracers populate the heap: with several
-    # million retained objects alive the small-object allocator slows every
-    # later allocation several-fold, which would contaminate the encode
-    # timings with heap state rather than encoder throughput.
+    # Whole-program encode of the faulty version.  Measured first, before
+    # the tracers populate the heap: with several million retained objects
+    # alive the small-object allocator slows every later allocation
+    # several-fold, which would contaminate the encode timing with heap
+    # state rather than encoder throughput.
     from repro.bmc import BoundedModelChecker
-    from repro.bmc.splice import splice_compile
 
     with obs.span("bench.encode_cold") as cold_span:
         cold_compiled = BoundedModelChecker(
@@ -302,7 +287,6 @@ def _run_large_benchmark(benchmark, max_candidates: int) -> LargeBenchmarkResult
         phase: round(seconds, 4)
         for phase, seconds in cold_profile.get("encode_phases", {}).items()
     }
-    cold_signature = cold_compiled.signature
     # Per-loop unwind planning on the same whole-program encode: the clause
     # gap is what proven loop bounds bought on this row.
     planned_compiled = BoundedModelChecker(
@@ -312,39 +296,7 @@ def _run_large_benchmark(benchmark, max_candidates: int) -> LargeBenchmarkResult
         cold_compiled.num_clauses - planned_compiled.num_clauses
     )
     result.planned_loops = planned_compiled.planned_loops
-    del planned_compiled
-    reference_compiled = BoundedModelChecker(
-        benchmark.reference_program(), group_statements=True
-    ).compile_program()
-    # Drop the cold artifact so the warm run sees the same heap the cold
-    # run did (plus the base artifact a warm client genuinely holds).
-    del cold_compiled
-    gc.collect()
-    splice_outcome: dict = {}
-    with obs.span("bench.encode_warm") as warm_span:
-        warm_compiled = splice_compile(
-            reference_compiled,
-            BoundedModelChecker(faulty, group_statements=True),
-            base_key=f"{benchmark.name}-reference",
-            outcome=splice_outcome,
-        )
-        if warm_compiled is None:
-            # Declined: the honest warm number is decline-check plus cold run.
-            result.splice_declined_early = bool(
-                splice_outcome.get("declined_early")
-            )
-            warm_compiled = BoundedModelChecker(
-                faulty, group_statements=True
-            ).compile_program()
-        else:
-            result.warm_spliced = True
-            result.impact_fraction = warm_compiled.impact_fraction
-    result.encode_time_warm = warm_span.duration
-    if warm_compiled.signature != cold_signature:
-        raise AssertionError(
-            f"{benchmark.name}: warm encode diverged from cold"
-        )
-    del warm_compiled, reference_compiled
+    del planned_compiled, cold_compiled
     gc.collect()
 
     # Delta debugging (D): minimize the failure-inducing input first.

@@ -2,19 +2,18 @@
 
 Both backends fill the identical flat :class:`~repro.encoding.arena.GateArena`
 buffers with the identical fold rules and hash mixing, so whole compiles must
-be bit-identical between them: same CNF, same gate signature, same journal,
-same pickled artifact bytes, same localization reports.  These tests drive
+be bit-identical between them: same CNF, same gate signature, same pickled
+artifact bytes, same localization reports.  These tests drive
 matched compile pairs through every Table 3 program, a hypothesis gate-op
 matrix over the five scalar gates, and seeded bit-vector kernel chains
 (add / multiply / equals / unsigned_less / mux), and require exact equality.
 
 The Python arm of each pair is produced in-process by pinning
 ``_ccore.encode_library`` / ``_ccore.materialize_function`` to ``None`` —
-exactly the state a ``REPRO_ENCODE=python`` process runs in — so a single
+exactly the state a ``REPRO_BACKEND=python`` process runs in — so a single
 process compares the two emitters over the same interned objects.  Separate
-subprocess tests cover the environment knob itself (explicit pin, inheritance
-from ``REPRO_PROPAGATION``, and cross-process artifact identity under
-``PYTHONHASHSEED=0``).
+subprocess tests cover the environment knob itself (both pins, and
+cross-process artifact identity under ``PYTHONHASHSEED=0``).
 
 When the C core cannot be built (no compiler), the differential pairs are
 skipped but the arena unit tests and the pure-Python feature checks still
@@ -40,9 +39,7 @@ from repro.encoding.arena import (
     GateArena,
     HDR_GUSED,
     HDR_HITS,
-    HDR_JLEN,
     HDR_NCLAUSES,
-    HDR_NUM_VARS,
 )
 from repro.encoding.context import ArenaEncodingContext
 from repro.sat import _ccore
@@ -68,7 +65,7 @@ TABLE3_CASES = [
 
 @contextlib.contextmanager
 def python_pinned():
-    """Run the body exactly as a ``REPRO_ENCODE=python`` process would."""
+    """Run the body exactly as a ``REPRO_BACKEND=python`` process would."""
     saved = (_ccore.encode_library, _ccore.materialize_function)
     _ccore.encode_library = lambda: None
     _ccore.materialize_function = lambda: None
@@ -86,8 +83,7 @@ def _subprocess_env(**overrides: str) -> dict:
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_ENCODE", None)
-    env.pop("REPRO_PROPAGATION", None)
+    env.pop("REPRO_BACKEND", None)
     env.update(overrides)
     return env
 
@@ -145,7 +141,7 @@ class TestDifferential:
 # --------------------------------------------------------- gate-op matrices
 
 
-def _context_fingerprint(context: ArenaEncodingContext) -> tuple:
+def _context_summary(context: ArenaEncodingContext) -> tuple:
     context.finalize()
     return (
         context.gate_signature,
@@ -154,12 +150,11 @@ def _context_fingerprint(context: ArenaEncodingContext) -> tuple:
         context.gates_emitted,
         context.gate_hits,
         context.hard,
-        context.journal,
     )
 
 
 def _run_scalar_ops(ops: list[tuple[int, int, int, int, int]]) -> tuple:
-    """Replay an op tape against a fresh arena context; fingerprint it.
+    """Replay an op tape against a fresh arena context; summarize it.
 
     Each record is ``(op, i, j, k, signs)``: pick operands from the growing
     literal pool by index (modulo its size), negate per the sign bits, apply
@@ -167,7 +162,6 @@ def _run_scalar_ops(ops: list[tuple[int, int, int, int, int]]) -> tuple:
     drives the exact same call sequence on either backend.
     """
     context = ArenaEncodingContext(width=8)
-    context.begin_journal()
     builder = CircuitBuilder(context)
     pool = [context.new_var() for _ in range(4)]
     pool.append(builder.true)  # the constant feeds the fold rules
@@ -190,7 +184,7 @@ def _run_scalar_ops(ops: list[tuple[int, int, int, int, int]]) -> tuple:
         else:
             result = builder.bit_equal(a, b)
         pool.append(result)
-    return _context_fingerprint(context)
+    return _context_summary(context)
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,10 +210,9 @@ def test_hypothesis_gate_matrix(ops):
 
 
 def _run_vector_ops(seed: int) -> tuple:
-    """A seeded chain of the hot bit-vector kernels, fingerprinted."""
+    """A seeded chain of the hot bit-vector kernels, summarized."""
     rng = random.Random(seed)
     context = ArenaEncodingContext(width=8)
-    context.begin_journal()
     builder = CircuitBuilder(context)
     vectors = [builder.fresh() for _ in range(3)]
     vectors.append(builder.const(rng.randint(-128, 127)))
@@ -238,7 +231,7 @@ def _run_vector_ops(seed: int) -> tuple:
             bits.append(builder.unsigned_less(a, b))
         else:
             vectors.append(builder.mux(bits[rng.randrange(len(bits))], a, b))
-    return _context_fingerprint(context)
+    return _context_summary(context)
 
 
 @needs_c
@@ -255,7 +248,7 @@ def test_vector_kernels_identical(seed):
 
 class TestFeatureCheck:
     def test_env_forces_python_fallback(self):
-        """REPRO_ENCODE=python pins the arena fallback in a fresh process."""
+        """REPRO_BACKEND=python pins the arena fallback in a fresh process."""
         script = (
             "from repro.encoding import encode_backend\n"
             "from repro.bmc import BoundedModelChecker\n"
@@ -269,25 +262,7 @@ class TestFeatureCheck:
         )
         result = subprocess.run(
             [sys.executable, "-c", script],
-            env=_subprocess_env(REPRO_ENCODE="python"),
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
-        assert "ok" in result.stdout
-
-    def test_inherits_propagation_pin(self):
-        """Unset REPRO_ENCODE inherits a REPRO_PROPAGATION=python pin."""
-        script = (
-            "from repro.encoding import encode_backend\n"
-            "from repro.sat import propagation_backend\n"
-            "assert propagation_backend() == 'python'\n"
-            "assert encode_backend() == 'python'\n"
-            "print('ok')\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            env=_subprocess_env(REPRO_PROPAGATION="python"),
+            env=_subprocess_env(REPRO_BACKEND="python"),
             capture_output=True,
             text=True,
         )
@@ -303,25 +278,7 @@ class TestFeatureCheck:
         )
         result = subprocess.run(
             [sys.executable, "-c", script],
-            env=_subprocess_env(REPRO_ENCODE="c"),
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
-
-    @needs_c
-    def test_explicit_pin_overrides_inheritance(self):
-        """REPRO_ENCODE=c keeps the emission core under a python solver pin."""
-        script = (
-            "from repro.encoding import encode_backend\n"
-            "from repro.sat import propagation_backend\n"
-            "assert propagation_backend() == 'python'\n"
-            "assert encode_backend() == 'c'\n"
-            "print('ok')\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            env=_subprocess_env(REPRO_PROPAGATION="python", REPRO_ENCODE="c"),
+            env=_subprocess_env(REPRO_BACKEND="c"),
             capture_output=True,
             text=True,
         )
@@ -343,7 +300,7 @@ class TestFeatureCheck:
         for backend in ("c", "python"):
             result = subprocess.run(
                 [sys.executable, "-c", script],
-                env=_subprocess_env(REPRO_ENCODE=backend, PYTHONHASHSEED="0"),
+                env=_subprocess_env(REPRO_BACKEND=backend, PYTHONHASHSEED="0"),
                 capture_output=True,
                 text=True,
             )
@@ -359,26 +316,23 @@ class TestArenaHousekeeping:
     """Flat-buffer growth and rehashing, on the always-on Python routines."""
 
     def test_clause_buffer_growth_preserves_contents(self):
-        arena = GateArena(journal=True)
+        arena = GateArena()
         rng = random.Random(11)
-        expected = []
+        expected: dict[int, list] = {gid: [] for gid in range(-1, 5)}
         for index in range(6000):  # far past the 1024-clause / 4096-lit seeds
             clause = [
                 rng.choice([-1, 1]) * rng.randint(1, 400)
                 for _ in range(rng.randint(1, 7))
             ]
-            expected.append(clause)
-            arena.emit(clause, -1 if index % 3 else index % 5)
-        assert arena.hdr[HDR_NCLAUSES] == len(expected)
-        hard, groups, journal, _ = arena.materialize(list(range(5)))
-        # The journal restores exact emission order; hard/groups partition
-        # the same clauses (as shared list objects) by owning group.
-        restored = [event[2] for event in journal if event[0] == "c"]
-        assert restored == expected
-        store = hard + [c for gid in range(5) for c in groups[gid]]
-        assert sorted(map(tuple, store)) == sorted(map(tuple, expected))
-        shared = {id(clause) for clause in store}
-        assert all(id(clause) in shared for clause in restored)
+            gid = -1 if index % 3 else index % 5
+            expected[gid].append(clause)
+            arena.emit(clause, gid)
+        assert arena.hdr[HDR_NCLAUSES] == 6000
+        hard, groups = arena.materialize(list(range(5)))
+        # Each partition keeps its clauses in emission order.
+        assert hard == expected[-1]
+        for gid in range(5):
+            assert groups[gid] == expected[gid]
 
     def test_gate_table_rehash_preserves_lookups(self):
         arena = GateArena()
@@ -408,26 +362,3 @@ class TestArenaHousekeeping:
             hooked.gate_insert(op, k1, k2, i + 1, [[i + 1]])
         assert plain.hdr[HDR_GUSED] == hooked.hdr[HDR_GUSED]
         assert plain.gtab == hooked.gtab
-
-    def test_journaling_off_is_structurally_silent(self):
-        """With journaling off the stream stays empty — no deferred work."""
-        arena = GateArena()  # journal=False
-        for _ in range(50):
-            arena.new_var()
-        arena.emit([1, -2], -1)
-        arena.record_event(("stmt", 1), 5, (1, 2))
-        arena.record_group(0)
-        assert arena.hdr[HDR_JLEN] == 0
-        assert len(arena.js) == 0
-        assert arena.raw == []
-        _, _, journal, _ = arena.materialize([])
-        assert journal is None
-        assert arena.hdr[HDR_NUM_VARS] == 50
-
-    def test_context_record_skips_event_construction_when_off(self):
-        """`record` with journaling off never touches the side list."""
-        context = ArenaEncodingContext(width=8)
-        assert not context.journaling
-        context.record(("stmt", "line", 1, 2))
-        assert context.arena.raw == []
-        assert context.arena.hdr[HDR_JLEN] == 0

@@ -232,7 +232,7 @@ class TestFeatureCheck:
             Solver(backend="fortran")
 
     def test_env_forces_python_fallback(self):
-        """REPRO_PROPAGATION=python pins the fallback in a fresh process."""
+        """REPRO_BACKEND=python pins the fallback in a fresh process."""
         script = (
             "from repro.sat import propagation_backend, Solver\n"
             "assert propagation_backend() == 'python'\n"
@@ -242,7 +242,7 @@ class TestFeatureCheck:
             "print('ok')\n"
         )
         env = dict(os.environ)
-        env["REPRO_PROPAGATION"] = "python"
+        env["REPRO_BACKEND"] = "python"
         src = str(Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         result = subprocess.run(
@@ -259,7 +259,7 @@ class TestFeatureCheck:
             "print('ok')\n"
         )
         env = dict(os.environ)
-        env["REPRO_PROPAGATION"] = "c"
+        env["REPRO_BACKEND"] = "c"
         src = str(Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         result = subprocess.run(

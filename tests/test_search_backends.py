@@ -26,17 +26,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sat import Solver, propagation_backend, search_backend
+from repro.sat import Solver, propagation_backend
 from repro.sat.solver import SolverStats
 
-#: Which compiled layers the current environment allows: an explicit
-#: REPRO_PROPAGATION/REPRO_SEARCH pin makes that layer's "c" backend
-#: unconstructible per solver, so CI's pinned matrix cells differentiate
-#: exactly the combinations their pins permit (and a machine without a
-#: compiler differentiates none).
-PROP_C = propagation_backend() == "c"
-SEARCH_C = search_backend() == "c"
-C_AVAILABLE = PROP_C or SEARCH_C
+#: Whether the compiled solver cores are usable here: a
+#: REPRO_BACKEND=python pin (or a machine without a compiler) makes every
+#: "c" backend unconstructible per solver, so only the pure reference runs.
+C_AVAILABLE = propagation_backend() == "c"
 
 needs_c = pytest.mark.skipif(
     not C_AVAILABLE, reason="no compiled solver core available in this environment"
@@ -45,12 +41,8 @@ needs_c = pytest.mark.skipif(
 #: Every constructible (propagation, search) backend combination, the pure
 #: reference first.
 COMBOS = [("python", "python")]
-if PROP_C and SEARCH_C:
+if C_AVAILABLE:
     COMBOS += [("c", "c"), ("c", "python"), ("python", "c")]
-elif PROP_C:
-    COMBOS += [("c", "python")]
-elif SEARCH_C:
-    COMBOS += [("python", "c")]
 
 
 def _stats_tuple(stats: SolverStats) -> tuple:
@@ -323,7 +315,6 @@ class TestDifferentialMatrix:
         """A full MaxSAT localization is bit-identical across all combos."""
         from repro.core.localizer import BugAssistLocalizer
         from repro.lang import parse_program
-        from repro.sat import _ccore
         from repro.spec import Specification
 
         source = (
@@ -335,15 +326,14 @@ class TestDifferentialMatrix:
             "}\n"
         )
         program = parse_program(source, name="search-diff-check")
+        original_init = Solver.__init__
         reports = {}
         for prop, search in COMBOS:
             # Pin the defaults every internal Solver() picks up.
-            monkeypatch.setattr(_ccore, "backend", lambda choice=prop: choice)
-            monkeypatch.setattr(
-                _ccore,
-                "search_backend",
-                lambda follow=None, choice=search: choice,
-            )
+            def pinned(self, backend=None, search=None, _prop=prop, _search=search):
+                original_init(self, backend=backend or _prop, search=search or _search)
+
+            monkeypatch.setattr(Solver, "__init__", pinned)
             localizer = BugAssistLocalizer(program, mode="trace")
             reports[(prop, search)] = localizer.localize_test(
                 [5], Specification.return_value(0)
@@ -474,20 +464,16 @@ class TestSearchFeatureCheck:
         with pytest.raises(ValueError):
             Solver(search="prolog")
 
-    @pytest.mark.skipif(
-        "REPRO_SEARCH" in os.environ,
-        reason="an explicit REPRO_SEARCH overrides the follow-the-backend default",
-    )
     def test_search_follows_propagation_by_default(self):
-        """Without REPRO_SEARCH, per-solver search follows propagation."""
+        """Without an explicit ``search=``, search follows propagation."""
         solver = Solver(backend="python")
         assert solver.search_backend == "python"
-        if PROP_C:
+        if C_AVAILABLE:
             compiled = Solver(backend="c")
             assert compiled.search_backend == "c"
 
     def test_env_pins_pure_python_end_to_end(self):
-        """REPRO_PROPAGATION=python alone keeps the search interpreted too."""
+        """REPRO_BACKEND=python keeps propagation and search interpreted."""
         script = (
             "from repro.sat import propagation_backend, search_backend, Solver\n"
             "assert propagation_backend() == 'python'\n"
@@ -497,24 +483,7 @@ class TestSearchFeatureCheck:
             "s.add_clause([1]); assert s.solve()\n"
             "print('ok')\n"
         )
-        result = _run_in_subprocess(script, REPRO_PROPAGATION="python")
-        assert result.returncode == 0, result.stderr
-        assert "ok" in result.stdout
-
-    @needs_c
-    def test_env_mixes_python_propagation_with_c_search(self):
-        script = (
-            "from repro.sat import propagation_backend, search_backend, Solver\n"
-            "assert propagation_backend() == 'python'\n"
-            "assert search_backend() == 'c'\n"
-            "s = Solver()\n"
-            "assert s.backend == 'python' and s.search_backend == 'c'\n"
-            "s.add_clause([1, 2]); s.add_clause([-1, 2]); assert s.solve()\n"
-            "print('ok')\n"
-        )
-        result = _run_in_subprocess(
-            script, REPRO_PROPAGATION="python", REPRO_SEARCH="auto"
-        )
+        result = _run_in_subprocess(script, REPRO_BACKEND="python")
         assert result.returncode == 0, result.stderr
         assert "ok" in result.stdout
 
@@ -525,7 +494,7 @@ class TestSearchFeatureCheck:
             "assert search_backend() == 'c'\n"
             "print('ok')\n"
         )
-        result = _run_in_subprocess(script, REPRO_SEARCH="c")
+        result = _run_in_subprocess(script, REPRO_BACKEND="c")
         assert result.returncode == 0, result.stderr
 
     def test_compilerless_environment_falls_back(self, tmp_path):
@@ -561,8 +530,7 @@ class TestSearchFeatureCheck:
 
 def _run_in_subprocess(script: str, **env_overrides: str):
     env = dict(os.environ)
-    env.pop("REPRO_PROPAGATION", None)
-    env.pop("REPRO_SEARCH", None)
+    env.pop("REPRO_BACKEND", None)
     env.update(env_overrides)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")

@@ -186,105 +186,18 @@ class TestArtifactStore:
         assert fresh.stats.corrupt_recovered == 0
         assert fresh.stats.compiles == 1
 
+    def test_version_stream_past_memory_tier_compiles_each_once(self, tmp_path):
+        """Twenty program versions through a 16-entry memory tier: each is
+        compiled once, only the overflow is evicted, and nothing is read
+        back from disk."""
+        from repro.siemens.tcas import tcas_faulty_source, tcas_versions
 
-CLASSIFY_FIXED = CLASSIFY.replace("x > 7", "x > 10")
-
-
-class TestWarmCompile:
-    def test_nearest_ancestor_is_spliced(self):
-        store = ArtifactStore()
-        base_key, _, _ = store.get_or_compile(CLASSIFY, {"name": "classify"})
-        key, compiled, source = store.get_or_compile(
-            CLASSIFY_FIXED, {"name": "classify"}
-        )
-        assert key != base_key
-        assert source == "warm"
-        assert compiled.spliced_from == base_key
-        assert 0.0 < compiled.impact_fraction < 1.0
-        assert store.stats.warm_compiles == 1
-        # Byte-equivalent encoding: a store with no ancestor compiles the
-        # same program cold and lands on the same CNF signature.
-        cold_store = ArtifactStore()
-        _, cold, cold_source = cold_store.get_or_compile(
-            CLASSIFY_FIXED, {"name": "classify"}
-        )
-        assert cold_source == "compiled"
-        assert cold.signature == compiled.signature
-        assert cold.num_clauses == compiled.num_clauses
-
-    def test_explicit_base_artifact_hint(self):
-        store = ArtifactStore()
-        base_key, _, _ = store.get_or_compile(CLASSIFY, {"name": "classify"})
-        _, compiled, source = store.get_or_compile(
-            CLASSIFY_FIXED, {"name": "classify"}, base_artifact=base_key
-        )
-        assert source == "warm"
-        assert compiled.spliced_from == base_key
-
-    def test_unknown_hint_falls_back_to_cold(self):
-        store = ArtifactStore()
-        store.get_or_compile(CLASSIFY, {"name": "classify"})
-        _, compiled, source = store.get_or_compile(
-            CLASSIFY_FIXED, {"name": "classify"}, base_artifact="no-such-key"
-        )
-        assert source == "compiled"
-        assert compiled.spliced_from is None
-
-    def test_dissimilar_program_compiles_cold(self):
-        store = ArtifactStore()
-        store.get_or_compile(CLASSIFY, {"name": "classify"})
-        _, compiled, source = store.get_or_compile(OTHER, {"name": "other"})
-        assert source == "compiled"
-        assert store.stats.warm_compiles == 0
-
-    def test_option_mismatch_is_not_a_splice_base(self):
-        store = ArtifactStore()
-        store.get_or_compile(CLASSIFY, {"name": "classify", "unwind": 8})
-        _, compiled, source = store.get_or_compile(
-            CLASSIFY_FIXED, {"name": "classify", "unwind": 16}
-        )
-        assert source == "compiled"
-        assert compiled.spliced_from is None
-
-    def test_decline_stats_distinguish_early(self, monkeypatch):
-        """A declined splice is counted, split by early (precondition) vs
-        late (mid-replay); both fields travel through ``as_dict``."""
-        import repro.bmc.splice as splice_mod
-
-        store = ArtifactStore()
-        store.get_or_compile(CLASSIFY, {"name": "classify"})
-
-        def abort(self, *args, **kwargs):
-            raise splice_mod.SpliceDecline
-
-        monkeypatch.setattr(splice_mod._Replay, "run", abort)
-        _, compiled, source = store.get_or_compile(
-            CLASSIFY_FIXED, {"name": "classify"}
-        )
-        assert source == "compiled"
-        assert compiled.spliced_from is None
-        assert store.stats.splice_declines == 1
-        assert store.stats.splice_declined_early == 0
-        stats = store.stats.as_dict()
-        assert stats["splice_declines"] == 1
-        assert stats["splice_declined_early"] == 0
-
-    def test_evicted_memory_only_base_is_unindexed(self):
-        store = ArtifactStore(root=None, max_memory_entries=1)
-        store.get_or_compile(CLASSIFY, {"name": "classify"})
-        store.get_or_compile(OTHER, {"name": "other"})  # evicts the base
-        _, _, source = store.get_or_compile(CLASSIFY_FIXED, {"name": "classify"})
-        assert source == "compiled"
-
-    def test_spilled_base_survives_eviction_as_ancestor(self, tmp_path):
-        store = ArtifactStore(root=tmp_path, max_memory_entries=1)
-        base_key, _, _ = store.get_or_compile(CLASSIFY, {"name": "classify"})
-        store.get_or_compile(OTHER, {"name": "other"})  # evicts to disk
-        _, compiled, source = store.get_or_compile(
-            CLASSIFY_FIXED, {"name": "classify"}
-        )
-        assert source == "warm"
-        assert compiled.spliced_from == base_key
+        store = ArtifactStore(root=tmp_path, max_memory_entries=16)
+        for version in tcas_versions()[:20]:
+            store.get_or_compile(tcas_faulty_source(version), {"name": f"tcas-{version}"})
+        assert store.stats.compiles == 20
+        assert store.stats.evictions == 4
+        assert store.stats.disk_hits == 0
 
 
 class TestResultCache:
@@ -478,6 +391,21 @@ class TestDaemon:
                 options={"name": "classify-after-fuzz"},
             )
         assert reply["report"]["lines"]
+
+    def test_artifact_key_cannot_escape_the_store(self, tmp_path):
+        """A wire ``artifact`` key is never turned into a path outside the
+        store directory: a traversal key gets an error reply and the file
+        it points at is left alone."""
+        victim = tmp_path / "victim.artifact"
+        victim.write_bytes(b"not an artifact")
+        store = ArtifactStore(root=tmp_path / "store")
+        with ServerThread(workers=1, store=store) as handle:
+            with Client(tcp=handle.tcp_address) as client:
+                client.wait_until_ready()
+                with pytest.raises(ServeError):
+                    client.localize(test=[1], spec=SPEC_ZERO, artifact="../victim")
+        assert victim.exists()
+        assert victim.read_bytes() == b"not an artifact"
 
     def test_stats_surface(self, daemon):
         with Client(tcp=daemon.tcp_address) as client:
