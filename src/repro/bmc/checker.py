@@ -184,6 +184,7 @@ class BoundedModelChecker:
         function = self.program.function(entry)
         analysis = self._analysis_for(entry)
         diagnostics = analysis.diagnostics if analysis is not None else ()
+        lits, ends, hard_clauses, group_keys, group_ends = context.flat_clauses()
         compiled = CompiledProgram(
             program_name=self.program.name,
             entry=entry,
@@ -191,8 +192,11 @@ class BoundedModelChecker:
             unwind=self.unwind,
             num_vars=context.num_vars,
             params=tuple(function.params),
-            hard=list(context.hard),
-            groups={group: list(clauses) for group, clauses in context.groups.items()},
+            lits=lits,
+            ends=ends,
+            hard_clauses=hard_clauses,
+            group_keys=group_keys,
+            group_ends=group_ends,
             steps=list(self._steps),
             input_bits=dict(input_bits),
             nondet_bits=list(self._nondet_bits),
@@ -412,6 +416,9 @@ class BoundedModelChecker:
             self._run_function(function, frame, builder.true)
         phases["gates"] = timed.duration
         self._context.finalize()
+        # The encoder points back at this checker: drop it so the encoding
+        # state is freed with the checker, not at the next cyclic collection.
+        self._encoder = None
         return input_bits, frame.return_value
 
     def _initialize_globals(self) -> None:

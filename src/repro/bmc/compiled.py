@@ -15,6 +15,13 @@ specification, which a :class:`~repro.core.session.LocalizationSession`
 asserts as a retractable layer on a persistent MaxSAT engine.  The artifact
 is a plain picklable value, so a process pool can ship it to each worker
 once and shard failing tests across workers.
+
+The clauses are stored flat (:mod:`repro.sat.flat`): one int32 literal
+buffer with clause end offsets, the hard block first and then one clause
+range per statement group in sorted group order.  They travel from the
+encoder's arena through the artifact bytes and the
+:class:`~repro.maxsat.WCNF` into the solver's clause arena without a Python
+object per clause.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+from array import array
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -30,6 +38,8 @@ from repro import obs
 from repro.encoding.context import StatementGroup
 from repro.encoding.trace import TraceFormula, TraceStep
 from repro.lang.semantics import to_unsigned, wrap
+from repro.maxsat import WCNF
+from repro.sat import flat
 from repro.spec import Specification
 
 Bits = tuple[int, ...]
@@ -38,8 +48,9 @@ Bits = tuple[int, ...]
 #: :class:`CompiledProgram` fields (or anything reachable from them, such as
 #: :class:`~repro.encoding.context.StatementGroup`) change incompatibly, so a
 #: content-addressed store never deserializes a stale on-disk spill into a
-#: newer process — it recompiles instead.
-ARTIFACT_FORMAT_VERSION = 5
+#: newer process — it recompiles instead.  Format 6 holds the clauses as
+#: flat int32 buffers.
+ARTIFACT_FORMAT_VERSION = 6
 
 #: Magic prefix of a serialized artifact (sanity check before unpickling).
 _ARTIFACT_MAGIC = b"repro-artifact\x00"
@@ -96,11 +107,14 @@ def _canonical_options(options: Mapping[str, object]) -> dict:
 
 def dumps_artifact(compiled: "CompiledProgram") -> bytes:
     """Serialize an artifact with the format-version envelope."""
-    return (
-        _ARTIFACT_MAGIC
-        + ARTIFACT_FORMAT_VERSION.to_bytes(4, "big")
-        + pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL)
-    )
+    with obs.span(
+        "artifact.dump", clauses=compiled.num_clauses, vars=compiled.num_vars
+    ):
+        return (
+            _ARTIFACT_MAGIC
+            + ARTIFACT_FORMAT_VERSION.to_bytes(4, "big")
+            + pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL)
+        )
 
 
 def peek_artifact_version(data: bytes) -> Optional[int]:
@@ -120,7 +134,15 @@ ARTIFACT_HEADER_BYTES = len(_ARTIFACT_MAGIC) + 4
 
 def loads_artifact(data: bytes) -> "CompiledProgram":
     """Deserialize an artifact, raising :class:`ArtifactFormatError` when the
-    envelope is missing, the format version differs, or the pickle is corrupt."""
+    envelope is missing, the format version differs, the pickle is corrupt,
+    or the clause buffers break :meth:`CompiledProgram.check_clauses`."""
+    with obs.span("artifact.load") as timed:
+        compiled = _loads_artifact(data)
+        timed.set(clauses=compiled.num_clauses, vars=compiled.num_vars)
+    return compiled
+
+
+def _loads_artifact(data: bytes) -> "CompiledProgram":
     header = len(_ARTIFACT_MAGIC) + 4
     if len(data) < header or not data.startswith(_ARTIFACT_MAGIC):
         raise ArtifactFormatError("not a serialized CompiledProgram artifact")
@@ -137,6 +159,9 @@ def loads_artifact(data: bytes) -> "CompiledProgram":
         raise ArtifactFormatError(
             f"artifact pickle holds {type(compiled).__name__}, not CompiledProgram"
         )
+    problem = compiled.check_clauses()
+    if problem is not None:
+        raise ArtifactFormatError(f"corrupt artifact clauses: {problem}")
     return compiled
 
 
@@ -156,10 +181,14 @@ class CompiledProgram:
     """The invariant whole-program CNF of one entry function.
 
     Produced by :meth:`repro.bmc.BoundedModelChecker.compile_program`.  The
-    clauses never mention a concrete test: ``hard`` holds the structural
-    clauses (guards, multiplexers, unwinding assumptions), ``groups`` the
-    per-statement transition clauses that become soft selector groups, and
-    the bit-vector maps locate the points where a test plugs in.
+    clauses never mention a concrete test.  They are flat
+    (:mod:`repro.sat.flat`): ``lits``/``ends`` hold every clause, the first
+    ``hard_clauses`` of them the structural clauses (guards, multiplexers,
+    unwinding assumptions), then one range per statement group — the
+    per-statement transition clauses that become soft selector groups —
+    with ``group_keys`` the groups in sorted order and ``group_ends[k]``
+    the clause index ending the range of ``group_keys[k]``.  The
+    bit-vector maps locate the points where a test plugs in.
     """
 
     program_name: str
@@ -168,8 +197,11 @@ class CompiledProgram:
     unwind: int
     num_vars: int
     params: tuple[str, ...]
-    hard: list[list[int]] = field(default_factory=list)
-    groups: dict[StatementGroup, list[list[int]]] = field(default_factory=dict)
+    lits: array = field(default_factory=lambda: array(flat.TYPECODE))
+    ends: array = field(default_factory=lambda: array(flat.TYPECODE))
+    hard_clauses: int = 0
+    group_keys: tuple[StatementGroup, ...] = ()
+    group_ends: array = field(default_factory=lambda: array(flat.TYPECODE))
     steps: list[TraceStep] = field(default_factory=list)
     input_bits: dict[str, Bits] = field(default_factory=dict)
     nondet_bits: list[Bits] = field(default_factory=list)
@@ -214,7 +246,52 @@ class CompiledProgram:
     @property
     def num_clauses(self) -> int:
         """Clause count of the invariant encoding (hard plus grouped)."""
-        return len(self.hard) + sum(len(clauses) for clauses in self.groups.values())
+        return len(self.ends)
+
+    # ------------------------------------------------------------- clauses
+
+    @property
+    def hard(self) -> list[list[int]]:
+        """The hard block as clause lists (a read-only view per access)."""
+        return flat.clause_lists(self.lits, self.ends, 0, self.hard_clauses)
+
+    @property
+    def groups(self) -> dict[StatementGroup, list[list[int]]]:
+        """Each group's clauses as lists, in sorted group order (a
+        read-only view per access)."""
+        views: dict[StatementGroup, list[list[int]]] = {}
+        start = self.hard_clauses
+        for group, stop in zip(self.group_keys, self.group_ends):
+            views[group] = flat.clause_lists(self.lits, self.ends, start, stop)
+            start = stop
+        return views
+
+    def check_clauses(self) -> Optional[str]:
+        """Why the clause buffers are malformed, or ``None`` when sound.
+
+        On top of :func:`repro.sat.flat.check_clause_buffer` (offsets,
+        zero literals, ``|lit| <= num_vars``) the hard block and the group
+        ranges must tile the clause buffer in order.  Artifacts from disk
+        or from another process pass here before C code indexes with them.
+        """
+        if not isinstance(self.num_vars, int) or not isinstance(self.hard_clauses, int):
+            return "num_vars or hard_clauses is not an int"
+        problem = flat.check_clause_buffer(self.lits, self.ends, self.num_vars)
+        if problem is not None:
+            return problem
+        ends = self.group_ends
+        if not isinstance(ends, array) or ends.typecode != flat.TYPECODE:
+            return "group_ends is not an int32 array"
+        if len(ends) != len(self.group_keys):
+            return "group_keys and group_ends differ in length"
+        bounds = [self.hard_clauses, *ends]
+        if (
+            bounds[0] < 0
+            or bounds != sorted(bounds)
+            or (ends[-1] if ends else self.hard_clauses) != len(self.ends)
+        ):
+            return "group ranges do not tile the clause buffer"
+        return None
 
     @property
     def planned_loops(self) -> int:
@@ -368,13 +445,11 @@ class CompiledProgram:
         output: the invariant hard clauses followed by the per-test units.
         """
         clauses, test_inputs = self.test_clauses(inputs, spec, nondet_values)
-        # The clause lists are shared, not copied: TraceFormula consumers
-        # only read them (to_wcnf re-materializes every clause anyway).
         return TraceFormula(
             width=self.width,
             num_vars=self.num_vars,
             hard=self.hard + clauses,
-            groups=dict(self.groups),
+            groups=self.groups,
             steps=list(self.steps),
             test_inputs=test_inputs,
             assertion_description=spec.describe(),
@@ -384,23 +459,25 @@ class CompiledProgram:
             narrowed_vars=self.narrowed_vars,
         )
 
-    def base_formula(self) -> TraceFormula:
-        """The invariant encoding as a test-less trace formula.
+    def to_wcnf(
+        self, hard_groups: Optional[set[int]] = None
+    ) -> tuple[WCNF, dict[int, StatementGroup]]:
+        """The invariant encoding as the shared partial MaxSAT instance.
 
-        Its :meth:`~repro.encoding.trace.TraceFormula.to_wcnf` is the shared
-        partial MaxSAT instance a session loads exactly once; per-test units
-        are then asserted as retractable layers.
+        The same instance :meth:`~repro.encoding.trace.TraceFormula.to_wcnf`
+        builds from a test-less formula — hard block, then per sorted group
+        either a soft group (clause range plus fresh selector, weight 1) or,
+        for lines in ``hard_groups``, plain hard clauses — but made from
+        the flat buffers with array copies.  A session loads it exactly
+        once; per-test units are then asserted as retractable layers.
         """
-        return TraceFormula(
-            width=self.width,
-            num_vars=self.num_vars,
-            hard=list(self.hard),
-            groups=dict(self.groups),
-            steps=list(self.steps),
-            test_inputs={},
-            assertion_description="",
-            gates_shared=self.gates_shared,
-            simplifier=self.simplifier,
-            signature=self.signature,
-            narrowed_vars=self.narrowed_vars,
-        )
+        wcnf = WCNF.from_clause_buffer(self.lits, self.ends, self.num_vars)
+        wcnf.signature = self.signature or None
+        selector_to_group: dict[int, StatementGroup] = {}
+        start = self.hard_clauses
+        for group, stop in zip(self.group_keys, self.group_ends):
+            if hard_groups is None or group.line not in hard_groups:
+                selector = wcnf.add_soft_range(start, stop, label=group)
+                selector_to_group[selector] = group
+            start = stop
+        return wcnf, selector_to_group

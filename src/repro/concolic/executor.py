@@ -201,6 +201,9 @@ class ConcolicTracer:
                         self._builder.fix_to_value(bits, value)
 
         self._context.finalize()
+        # The encoder points back at this tracer: drop it so the encoding
+        # state is freed with the tracer, not at the next cyclic collection.
+        self._encoder = None
         return TraceFormula.from_context(
             self._context,
             steps=self._steps,

@@ -129,12 +129,10 @@ class LoopIterationLocalizer:
         beta: list[int] = []
         for index in blocked:
             beta.extend(wcnf.soft[index].lits)
-        successor = WCNF()
-        successor._num_vars = wcnf.num_vars
-        for clause in wcnf.hard:
-            successor.add_hard(clause)
+        successor = wcnf.copy()
+        successor.signature = None  # blocking changed the instance
         successor.add_hard(beta)
-        for index, soft in enumerate(wcnf.soft):
-            if index not in blocked:
-                successor.add_soft(list(soft.lits), weight=soft.weight, label=soft.label)
+        successor.soft = [
+            soft for index, soft in enumerate(wcnf.soft) if index not in blocked
+        ]
         return successor

@@ -258,9 +258,7 @@ class LocalizationSession:
             hard_groups = set(self.hard_lines)
             if self.static_pruning:
                 hard_groups.update(self.compiled.pruned_lines)
-            wcnf, _ = self.compiled.base_formula().to_wcnf(
-                hard_groups=hard_groups or None
-            )
+            wcnf, _ = self.compiled.to_wcnf(hard_groups=hard_groups or None)
             engine = make_engine(self.strategy)
             engine.load(wcnf)
             self._engine = engine

@@ -20,10 +20,11 @@ with C vector kernels freely, and both backends produce bit-identical
 results by construction of the shared layout (and by the differential test
 matrix for the C reimplementation of the fold rules).
 
-At the end of a compile :meth:`ArenaEncodingContext.finalize` materializes
-the exact legacy ``hard``/``groups`` clause lists, so artifacts and every
-other consumer are byte-for-byte unaffected by which storage backed the
-encode.
+At the end of a compile :meth:`GateArena.partition` lays the clauses out
+as the artifact's flat int32 buffers (hard block, then one block per
+statement group), and trace-mode readers get the legacy ``hard``/``groups``
+clause lists from :meth:`GateArena.materialize`; either way the result is
+byte-for-byte independent of which backend filled the arena.
 """
 
 from __future__ import annotations
@@ -236,6 +237,66 @@ class GateArena:
         hdr[HDR_LITS] = off
 
     # -------------------------------------------------------- materialization
+
+    def partition(self, group_table: list) -> tuple:
+        """The clause store in the flat artifact layout.
+
+        Returns ``(lits, ends, hard_clauses, groups, group_ends)``: int32
+        buffers in the :mod:`repro.sat.flat` layout holding the hard
+        clauses first and then one block per group of ``group_table`` in
+        sorted group order, emission order kept inside every block;
+        ``groups`` is that sorted order and ``group_ends[k]`` the clause
+        index ending the block of ``groups[k]``.  Runs in C
+        (``repro_enc_partition``) when the emission core is loaded.
+        """
+        from repro.sat import _ccore
+
+        hdr = self.hdr
+        nclauses, nlits = hdr[HDR_NCLAUSES], hdr[HDR_LITS]
+        order = sorted(range(len(group_table)), key=group_table.__getitem__)
+        rank = array("q", bytes(8 * len(order)))
+        for position, gid in enumerate(order):
+            rank[gid] = position
+        out_lits = array("i", bytes(4 * nlits))
+        out_ends = array("i", bytes(4 * nclauses))
+        group_ends = array("i", bytes(4 * len(order)))
+        native = _ccore.partition_function()
+        if native is not None:
+            counts = array("q", bytes(16 * (len(order) + 1)))
+            hard = native(
+                self.lits.buffer_info()[0],
+                self.cend.buffer_info()[0],
+                self.cgid.buffer_info()[0],
+                nclauses,
+                rank.buffer_info()[0],
+                len(order),
+                counts.buffer_info()[0],
+                out_lits.buffer_info()[0],
+                out_ends.buffer_info()[0],
+                group_ends.buffer_info()[0],
+            )
+        else:
+            blocks: list[list[tuple[int, int]]] = [[] for _ in range(len(order) + 1)]
+            cend, cgid = self.cend, self.cgid
+            start = 0
+            for index in range(nclauses):
+                end = cend[index]
+                gid = cgid[index]
+                blocks[0 if gid < 0 else rank[gid] + 1].append((start, end))
+                start = end
+            lits = array("i", self.lits[:nlits])
+            offset = clause = 0
+            for block_index, block in enumerate(blocks):
+                for start, end in block:
+                    out_lits[offset : offset + end - start] = lits[start:end]
+                    offset += end - start
+                    out_ends[clause] = offset
+                    clause += 1
+                if block_index:
+                    group_ends[block_index - 1] = clause
+            hard = len(blocks[0])
+        groups = tuple(group_table[gid] for gid in order)
+        return out_lits, out_ends, hard, groups, group_ends
 
     def materialize(self, group_table: list) -> tuple[list, dict]:
         """Rebuild the legacy ``(hard, groups)`` clause lists.

@@ -71,7 +71,7 @@ class EncodingContext:
         self._sig = 0xCBF29CE484222325
 
     def finalize(self) -> None:
-        """Seal the encoding (no-op here; the arena context materializes)."""
+        """Seal the encoding (a no-op for the list-based context)."""
 
     # ------------------------------------------------------------ variables
 
@@ -151,11 +151,12 @@ class ArenaEncodingContext(EncodingContext):
     Same observable behaviour as the legacy list-of-lists context —
     identical variable numbering, clause order and gate signature — but
     clauses and the gate cache live in flat ``array('q')`` buffers while the
-    encode runs (the C emission core operates on the same buffers).
-    :meth:`finalize` materializes the legacy ``hard`` / ``groups``
-    structures once at the end, so artifacts and every downstream consumer
-    are byte-for-byte unaffected.  Compiles and concolic traces run on this
-    subclass; the legacy class remains the reference the circuit tests use.
+    encode runs (the C emission core operates on the same buffers).  Once
+    :meth:`finalize` has sealed it, the clauses are read out either flat
+    (:meth:`flat_clauses`, what a whole-program compile stores) or as the
+    legacy ``hard`` / ``groups`` lists (what trace formulas hold).  Compiles
+    and concolic traces run on this subclass; the legacy class remains the
+    reference the circuit tests use.
     """
 
     def __init__(self, width: int = 16) -> None:
@@ -165,8 +166,8 @@ class ArenaEncodingContext(EncodingContext):
         self._group_table: list[StatementGroup] = []
         self._group_ids: dict[StatementGroup, int] = {}
         self._finalized = False
-        self._hard_view: Optional[list[list[int]]] = None
-        self._groups_view: Optional[dict[StatementGroup, list[list[int]]]] = None
+        self._flat: Optional[tuple] = None
+        self._list_views: Optional[tuple] = None
         #: Wall-clock seconds per encode phase, filled by the producer
         #: (analysis vs gate emission vs clause materialization).
         self.encode_phases: dict[str, float] = {}
@@ -245,39 +246,57 @@ class ArenaEncodingContext(EncodingContext):
 
     @property
     def hard(self) -> list[list[int]]:
-        if self._hard_view is None:
-            raise RuntimeError("arena context read before finalize()")
-        return self._hard_view
+        return self._lists()[0]
 
     @property
     def groups(self) -> dict[StatementGroup, list[list[int]]]:
-        if self._groups_view is None:
-            raise RuntimeError("arena context read before finalize()")
-        return self._groups_view
+        return self._lists()[1]
 
     # ------------------------------------------------------- materialization
 
     def finalize(self) -> None:
-        """Materialize the legacy clause lists (once).
-
-        The cyclic collector is suspended for the duration: materialization
-        allocates millions of containers that are all retained, and letting
-        the GC repeatedly scan that growing live set multiplies the cost of
-        this phase several-fold without ever freeing anything.
-        """
-        if self._finalized:
-            return
-        with obs.span("encode.materialize") as timed:
-            was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                hard, groups = self.arena.materialize(self._group_table)
-            finally:
-                if was_enabled:
-                    gc.enable()
-        self._hard_view = hard
-        self._groups_view = groups
+        """Seal the encoding: every clause has been emitted."""
         self._finalized = True
+
+    def flat_clauses(self) -> tuple:
+        """The clauses in the flat artifact layout, built once.
+
+        See :meth:`GateArena.partition`; the compiled artifact stores this
+        tuple as is, so a whole-program compile never builds a Python
+        object per clause.
+        """
+        if self._flat is None:
+            with self._materializing():
+                self._flat = self.arena.partition(self._group_table)
+        return self._flat
+
+    def _lists(self) -> tuple:
+        """The legacy ``(hard, groups)`` clause lists, built once.
+
+        Trace-mode formulas are list based.  The cyclic collector is
+        suspended meanwhile: materialization allocates millions of
+        containers that are all retained, and letting the GC repeatedly
+        scan that growing live set multiplies the cost of this phase
+        several-fold without ever freeing anything.
+        """
+        if self._list_views is None:
+            with self._materializing():
+                was_enabled = gc.isenabled()
+                gc.disable()
+                try:
+                    self._list_views = self.arena.materialize(self._group_table)
+                finally:
+                    if was_enabled:
+                        gc.enable()
+        return self._list_views
+
+    @contextmanager
+    def _materializing(self) -> Iterator[None]:
+        """Time one read-out of the sealed arena as the materialize phase."""
+        if not self._finalized:
+            raise RuntimeError("arena context read before finalize()")
+        with obs.span("encode.materialize") as timed:
+            yield
         self.encode_phases["materialize"] = (
             self.encode_phases.get("materialize", 0.0) + timed.duration
         )

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
+from repro import obs
 from repro.maxsat.result import MaxSatResult
 from repro.maxsat.wcnf import WCNF
 from repro.sat import Solver, SolverStats
@@ -110,12 +111,18 @@ class MaxSatEngine:
 
         Identical soft clauses are deduplicated into a single binding so
         both copies share one assumption literal (and hence one consistent
-        violation indicator).
+        violation indicator).  The hard clauses reach the solver through
+        its bulk loader, straight from the instance's flat buffers.
         """
+        with obs.span(
+            "maxsat.engine_load", clauses=wcnf.num_hard, vars=wcnf.num_vars
+        ):
+            self._load(wcnf)
+
+    def _load(self, wcnf: WCNF) -> None:
         solver = Solver()
         solver.ensure_vars(wcnf.num_vars)
-        for clause in wcnf.hard:
-            solver.add_clause(clause)
+        solver.add_clause_buffer(wcnf.lits, wcnf.ends, wcnf.range_ends, wcnf.range_sels)
         bindings: list[_SoftBinding] = []
         by_clause: dict[tuple[int, ...], _SoftBinding] = {}
         for index, soft in enumerate(wcnf.soft):

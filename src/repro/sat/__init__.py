@@ -29,7 +29,9 @@ flat buffers and produces identical models, conflicts, cores and
 statistics; the pure-Python loops remain the always-tested fallback.
 
 The public entry points are :class:`Solver`, :data:`TRUE_LIT` helpers in
-:mod:`repro.sat.literals`, and the DIMACS helpers in :mod:`repro.sat.dimacs`.
+:mod:`repro.sat.literals`, the flat int32 clause buffers of
+:mod:`repro.sat.flat` (loaded in bulk by :meth:`Solver.add_clause_buffer`),
+and the DIMACS helpers in :mod:`repro.sat.dimacs`.
 """
 
 from repro.sat.literals import neg, lit_to_var, var_to_lit

@@ -2,7 +2,7 @@
 
 The solver's hot paths exist twice: as pure-Python loops (always available,
 always tested) and as ``search.c`` compiled to a tiny shared library at
-first use.  The library exports two entry points over the same flat
+first use.  The library exports its entry points over the same flat
 ``array``-backed buffers:
 
 * ``repro_propagate`` — two-watched-literal unit propagation (one call per
@@ -11,9 +11,13 @@ first use.  The library exports two entry points over the same flat
   conflict analysis with clause learning and local minimization,
   backjumping, VSIDS bump/decay/rescale, the activity order heap, phase
   saving, assumption decisions and Luby restarts, returning to Python only
-  for rare control events.
+  for rare control events;
+* ``repro_cancel_trail`` — the trail-undo loop of backtracking, for
+  backtracks the Python control plane performs;
+* ``repro_check_clauses`` and ``repro_load_clauses`` — validation and bulk
+  loading of flat int32 clause buffers (:mod:`repro.sat.flat`).
 
-Both implement the same algorithms step for step as the Python fallbacks,
+Each implements the same algorithm step for step as its Python fallback,
 so every backend combination produces identical assignments, conflicts,
 cores and statistics.  The CNF emission core (``encode.c``) and the
 clause materializer (``encode_py.c``) are separate tiny libraries built on
@@ -221,6 +225,27 @@ def load_core() -> Optional[ctypes.CDLL]:
         search = library.repro_search
         search.restype = ctypes.c_long
         search.argtypes = [ctypes.c_void_p] * 18
+        cancel = library.repro_cancel_trail
+        cancel.restype = None
+        cancel.argtypes = [ctypes.c_void_p] * 8 + [ctypes.c_long]
+        check = library.repro_check_clauses
+        check.restype = ctypes.c_long
+        check.argtypes = [
+            ctypes.c_void_p,
+            ctypes.c_long,
+            ctypes.c_void_p,
+            ctypes.c_long,
+            ctypes.c_long,
+        ]
+        load = library.repro_load_clauses
+        load.restype = ctypes.c_long
+        load.argtypes = (
+            [ctypes.c_void_p] * 8
+            + [ctypes.c_long, ctypes.c_void_p] + [ctypes.c_long] * 3
+            + [ctypes.c_void_p] * 2
+            + [ctypes.c_long]
+            + [ctypes.c_void_p] * 2
+        )
         _loaded = library
     except Exception as error:  # compiler missing, sandboxed tmpdir, ...
         unavailable_reason = f"{type(error).__name__}: {error}"
@@ -275,6 +300,13 @@ def encode_library() -> Optional[ctypes.CDLL]:
             ctypes.c_void_p,
             ctypes.c_longlong,
         ]
+        partition = library.repro_enc_partition
+        partition.restype = ctypes.c_longlong
+        partition.argtypes = (
+            [ctypes.c_void_p] * 3
+            + [ctypes.c_longlong, ctypes.c_void_p, ctypes.c_longlong]
+            + [ctypes.c_void_p] * 4
+        )
         _encode_loaded = library
     except Exception as error:  # compiler missing, sandboxed tmpdir, ...
         encode_unavailable_reason = f"{type(error).__name__}: {error}"
@@ -296,6 +328,12 @@ def encode_unavailable() -> Optional[str]:
 def encode_backend() -> str:
     """Which emission backend new compiles will use (``"c"`` or ``"python"``)."""
     return "c" if encode_library() is not None else "python"
+
+
+def partition_function():
+    """The raw ``repro_enc_partition`` entry point, or ``None``."""
+    library = encode_library()
+    return None if library is None else library.repro_enc_partition
 
 
 def load_materialize_core() -> Optional[ctypes.CDLL]:
@@ -353,6 +391,24 @@ def search_function():
     """The raw ``repro_search`` C function, or ``None``."""
     library = load_core()
     return None if library is None else library.repro_search
+
+
+def cancel_trail_function():
+    """The raw ``repro_cancel_trail`` C function, or ``None``."""
+    library = load_core()
+    return None if library is None else library.repro_cancel_trail
+
+
+def check_clauses_function():
+    """The raw ``repro_check_clauses`` C function, or ``None``."""
+    library = load_core()
+    return None if library is None else library.repro_check_clauses
+
+
+def load_clauses_function():
+    """The raw ``repro_load_clauses`` C function, or ``None``."""
+    library = load_core()
+    return None if library is None else library.repro_load_clauses
 
 
 def core_unavailable_reason() -> Optional[str]:

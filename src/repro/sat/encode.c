@@ -19,6 +19,8 @@
  *   repro_enc_equals   MSB-first equality AND chain.
  *   repro_enc_uless    unsigned less-than mux chain.
  *   repro_enc_mux      per-bit if-then-else.
+ *   repro_enc_partition   the clause store in the flat int32 artifact
+ *                      layout (hard block, then one block per group).
  *
  * Capacity contract: the Python caller reserves worst-case room (gates,
  * clauses, literals, gate-table load factor < 1/2) before
@@ -508,4 +510,48 @@ void repro_enc_rehash(const i64 *old_tab, i64 old_slots, i64 *new_tab,
         dst[2] = slot[2];
         dst[3] = slot[3];
     }
+}
+
+/* Partition the clause store into the flat artifact layout (mirror of
+ * GateArena.partition): the hard clauses (cgid < 0) first, then one block
+ * per group in the order given by rank[gid], emission order kept inside
+ * each block.  Writes the int32 literals to out_lits, each clause's end
+ * offset to out_ends and the end clause index of the block of rank k to
+ * out_gends[k].  `counts` is zeroed scratch of 2 * (ngroups + 1) words.
+ * Returns the number of hard clauses. */
+i64 repro_enc_partition(const i64 *lits, const i64 *cend, const i64 *cgid,
+                        i64 nclauses, const i64 *rank, i64 ngroups,
+                        i64 *counts, int32_t *out_lits, int32_t *out_ends,
+                        int32_t *out_gends) {
+    i64 *clause_pos = counts;
+    i64 *lit_pos = counts + ngroups + 1;
+    i64 start = 0;
+    for (i64 i = 0; i < nclauses; i++) {
+        i64 block = cgid[i] < 0 ? 0 : 1 + rank[cgid[i]];
+        clause_pos[block] += 1;
+        lit_pos[block] += cend[i] - start;
+        start = cend[i];
+    }
+    i64 hard = clause_pos[0];
+    i64 clauses = 0, offset = 0;
+    for (i64 b = 0; b <= ngroups; b++) {
+        i64 n = clause_pos[b], m = lit_pos[b];
+        clause_pos[b] = clauses;
+        lit_pos[b] = offset;
+        clauses += n;
+        offset += m;
+        if (b)
+            out_gends[b - 1] = (int32_t)clauses;
+    }
+    start = 0;
+    for (i64 i = 0; i < nclauses; i++) {
+        i64 block = cgid[i] < 0 ? 0 : 1 + rank[cgid[i]];
+        i64 pos = lit_pos[block];
+        for (i64 k = start; k < cend[i]; k++)
+            out_lits[pos++] = (int32_t)lits[k];
+        lit_pos[block] = pos;
+        out_ends[clause_pos[block]++] = (int32_t)pos;
+        start = cend[i];
+    }
+    return hard;
 }

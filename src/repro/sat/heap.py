@@ -71,10 +71,32 @@ class ActivityHeap:
 
     def grow_to(self, num_vars: int) -> None:
         """Make room for variables ``1..num_vars``."""
-        while len(self._positions) <= num_vars:
-            self._positions.append(-1)
-        while len(self._heap) < num_vars:
-            self._heap.append(0)
+        missing = num_vars + 1 - len(self._positions)
+        if missing > 0:
+            self._positions.extend([-1] * missing)
+        missing = num_vars - len(self._heap)
+        if missing > 0:
+            self._heap.extend([0] * missing)
+
+    def insert_fresh(self, first: int, last: int) -> None:
+        """Insert the new variables ``first..last`` (activity 0.0) in order.
+
+        The layout equals one :meth:`insert` per variable: activities are
+        never negative, so a zero-activity entry never sifts up past its
+        parent and each lands at the end of the heap.
+        """
+        self.grow_to(last)
+        size = self._size
+        count = last - first + 1
+        fresh = range(first, last + 1)
+        slots = range(size, size + count)
+        if isinstance(self._heap, array):
+            self._heap[size : size + count] = array("l", fresh)
+            self._positions[first : last + 1] = array("l", slots)
+        else:
+            self._heap[size : size + count] = fresh
+            self._positions[first : last + 1] = slots
+        self._size += count
 
     def insert(self, var: int) -> None:
         """Insert ``var`` if it is not already present."""

@@ -1,7 +1,7 @@
 /* The C-accelerated solver cores of repro.sat.solver.
  *
- * Two entry points are exported, both operating on flat buffers allocated
- * and owned by the Python side:
+ * The exported entry points operate on flat buffers allocated and owned by
+ * the Python side:
  *
  *   repro_propagate   two-watched-literal unit propagation (the PR-3 core,
  *                     called once per search step by the pure-Python loop);
@@ -9,14 +9,19 @@
  *                     conflict analysis with clause learning and local
  *                     minimization, backjumping, VSIDS bump/decay/rescale,
  *                     the activity order heap, phase saving, assumption
- *                     decisions and Luby restarts.
+ *                     decisions and Luby restarts;
+ *   repro_cancel_trail    the trail-undo loop of Solver._cancel_until;
+ *   repro_check_clauses   validation of a flat int32 clause buffer;
+ *   repro_load_clauses    the bulk clause loader: Solver.add_clause for
+ *                     every clause of a flat int32 buffer, at level 0.
  *
  * Each implements exactly the same algorithm, over exactly the same data
- * layout, as its pure-Python mirror (Solver._propagate_python and
- * Solver._search_python).  Any behavioural divergence between the two is a
+ * layout, as its pure-Python mirror (Solver._propagate_python,
+ * Solver._search_python, repro.sat.flat.check_clause_buffer and a loop of
+ * Solver.add_clause).  Any behavioural divergence between the two is a
  * bug; the differential suites (tests/test_propagation_backends.py,
- * tests/test_search_backends.py) compare models, conflicts, cores and
- * statistics of full solver runs across every backend combination.
+ * tests/test_search_backends.py, tests/test_clause_load.py) compare models,
+ * conflicts, cores, statistics and solver internals across backends.
  *
  * Data layout (all "long" words unless noted):
  *
@@ -609,4 +614,192 @@ out:
     state[28] = scratch_len;
     state[30] = log_len;
     return exit_reason;
+}
+
+/* ------------------------------------------------------------ backtrack */
+
+/* Solver._cancel_until for backtracks the Python side performs: undo the
+ * trail from its end down to position `bound` (the first entry of the
+ * level backtracked out of), saving phases, clearing reasons and
+ * reinserting the variables into the order heap, exactly as the kernel's
+ * cancel_until does.  state: [0] trail_len, [1] heap_size (updated). */
+void repro_cancel_trail(long *trail, signed char *assigns,
+                        signed char *polarity, long *reasons, long *heap,
+                        long *heap_pos, double *activity, long *state,
+                        long bound)
+{
+    long heap_size = state[1];
+    for (long index = state[0] - 1; index >= bound; index--) {
+        long ilit = trail[index];
+        long var = ilit >> 1;
+        assigns[var] = -1;
+        polarity[var] = (signed char) (((ilit & 1) == 0) ? 1 : 0);
+        reasons[var] = 0;
+        heap_insert(heap, heap_pos, activity, &heap_size, var);
+    }
+    state[1] = heap_size;
+}
+
+/* ------------------------------------------------------ flat clause load */
+
+/* Validate a flat clause buffer before anything indexes with it.  Clause i
+ * is lits[ends[i-1] .. ends[i]) with ends[-1] taken as 0.  Returns 0 when
+ * the offsets never decrease, the last offset equals nlits and every
+ * literal is non-zero with |lit| <= num_vars; otherwise the code of the
+ * first broken rule: 1 a decreasing offset, 2 a last offset other than
+ * nlits, 3 a zero literal, 4 a literal beyond num_vars. */
+long repro_check_clauses(const int *lits, long nlits, const int *ends,
+                         long nclauses, long num_vars)
+{
+    long prev = 0;
+    for (long i = 0; i < nclauses; i++) {
+        if (ends[i] < prev)
+            return 1;
+        prev = ends[i];
+    }
+    if (prev != nlits)
+        return 2;
+    for (long k = 0; k < nlits; k++) {
+        long lit = lits[k];
+        if (lit == 0)
+            return 3;
+        if (lit > num_vars || -lit > num_vars)
+            return 4;
+    }
+    return 0;
+}
+
+/* The bulk clause loader: the effect of Solver.add_clause on clauses
+ * first .. last-1 of a flat buffer of nclauses clauses, in order, at
+ * decision level 0 with no layer open.  Solver.add_clause_buffer validates
+ * the whole buffer and range table once (repro_check_clauses) and then
+ * loads it in slices, growing the arena between calls, so the arena grows
+ * the way per-clause loading grows it.
+ *
+ * Clause i is lits[ends[i-1] .. ends[i]).  The range table assigns
+ * selectors: clause i lies in range r when range_ends[r-1] <= i <
+ * range_ends[r], and when range_sels[r] != 0 the literal -range_sels[r]
+ * is appended to it (the clause grouping of the paper's Section 3.4);
+ * clauses past the last range carry no selector.  Per clause, exactly as
+ * add_clause: literals map to the internal 2*var+sign encoding, a repeated
+ * literal is dropped, a tautology or a literal true at level 0 drops the
+ * clause, a literal false at level 0 is dropped; an empty result makes the
+ * formula unsatisfiable, a unit is enqueued at level 0 and propagated at
+ * once, and a longer clause is written at the arena's logical end and
+ * attached to the watch lists.  `seen` serves as a per-variable mark of
+ * the literals kept so far (1 + sign) and is left zeroed.
+ *
+ * state: [0] qhead, [1] trail_len, [2] arena_len, [3] propagations (added
+ * to), [4] num_vars, [5] arena capacity; out: [6] refs written to `refs`,
+ * [7] 1 while the formula is consistent, 0 once it became unsatisfiable.
+ * Returns 0; or, without touching any solver state, 1 when the slice's
+ * offsets leave [0, nlits] or decrease, 3/4 for a zero or out-of-range
+ * literal in it, 5 for a selector out of range, 6 when the arena capacity
+ * cannot hold the slice. */
+long repro_load_clauses(long *arena, long *heads, signed char *assigns,
+                        long *levels, long *reasons, long *trail,
+                        signed char *seen, const int *lits, long nlits,
+                        const int *ends, long nclauses, long first,
+                        long last, const int *range_ends,
+                        const int *range_sels, long nranges, long *refs,
+                        long *state)
+{
+    long num_vars = state[4];
+    if (first < 0 || last < first || last > nclauses)
+        return 1;
+    long begin = first > 0 ? ends[first - 1] : 0;
+    if (begin < 0 || begin > nlits)
+        return 1;
+    long prev = begin;
+    for (long i = first; i < last; i++) {
+        if (ends[i] < prev || ends[i] > nlits)
+            return 1;
+        prev = ends[i];
+    }
+    for (long k = begin; k < prev; k++) {
+        long lit = lits[k];
+        if (lit == 0)
+            return 3;
+        if (lit > num_vars || -lit > num_vars)
+            return 4;
+    }
+    for (long r = 0; r < nranges; r++)
+        if (range_sels[r] < 0 || range_sels[r] > num_vars)
+            return 5;
+    long qhead = state[0];
+    long trail_len = state[1];
+    long arena_len = state[2];
+    if (state[5] - arena_len < (last - first) * (HDR + 1) + (prev - begin))
+        return 6;
+
+    long nrefs = 0;
+    long ok = 1;
+    long start = begin;
+    long r = 0;
+    for (long i = first; i < last; i++) {
+        while (r < nranges && range_ends[r] <= i)
+            r++;
+        long selector = r < nranges ? range_sels[r] : 0;
+        long end = ends[i];
+        long total = end - start + (selector ? 1 : 0);
+        long base = arena_len + HDR;
+        long n = 0;
+        int dropped = 0;
+        for (long k = 0; k < total; k++) {
+            long lit = start + k < end ? lits[start + k] : -selector;
+            long var = lit < 0 ? -lit : lit;
+            long ilit = 2 * var + (lit < 0 ? 1 : 0);
+            signed char mark = seen[var];
+            if (mark) {
+                if (mark == 1 + (ilit & 1))
+                    continue; /* repeated literal */
+                dropped = 1;  /* tautology */
+                break;
+            }
+            signed char value = assigns[var];
+            if (value >= 0 && levels[var] == 0) {
+                if ((value ^ (ilit & 1)) == 1) {
+                    dropped = 1; /* satisfied at level 0 */
+                    break;
+                }
+                continue; /* falsified at level 0 */
+            }
+            seen[var] = (signed char) (1 + (ilit & 1));
+            arena[base + n++] = ilit;
+        }
+        for (long k = 0; k < n; k++)
+            seen[arena[base + k] >> 1] = 0;
+        start = end;
+        if (dropped)
+            continue;
+        if (n == 0) {
+            ok = 0;
+            break;
+        }
+        if (n == 1) {
+            enqueue(assigns, levels, reasons, trail, &trail_len, 0,
+                    arena[base], 0);
+            if (propagate(arena, heads, assigns, levels, reasons, trail,
+                          &qhead, &trail_len, 0, &state[3])) {
+                ok = 0;
+                break;
+            }
+            continue;
+        }
+        long ref = arena_len;
+        arena[ref] = n << 2;
+        arena[ref + 1] = 0;
+        arena[ref + 2] = 0;
+        arena[ref + 3] = 0;
+        arena[ref + 4] = 0;
+        arena_len = base + n;
+        attach(arena, heads, ref);
+        refs[nrefs++] = ref;
+    }
+    state[0] = qhead;
+    state[1] = trail_len;
+    state[2] = arena_len;
+    state[6] = nrefs;
+    state[7] = ok;
+    return 0;
 }

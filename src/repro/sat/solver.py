@@ -53,7 +53,7 @@ The whole search state — arena, watch heads, assignments, levels, reasons,
 trail, saved phases, VSIDS activities, the analysis ``seen`` buffer and the
 order heap — is held in flat ``array``-backed buffers whenever either
 compiled backend is active (see :mod:`repro.sat._ccore`).  Two compiled
-entry points operate over that memory:
+kernels operate over that memory:
 
 * ``repro_propagate`` — the unit-propagation core, called once per search
   step by the pure-Python loop;
@@ -64,6 +64,11 @@ entry points operate over that memory:
   C, returning to Python only for the rare control events (SAT/UNSAT
   answers, assumption-core extraction, learnt-database reduction, budget
   exhaustion, and buffer-capacity growth).
+
+Two smaller ones serve the Python control plane: ``repro_cancel_trail``
+undoes the trail when Python backtracks, and ``repro_load_clauses`` adds a
+whole flat clause buffer (:meth:`Solver.add_clause_buffer`) with the effect
+of one :meth:`Solver.add_clause` per clause.
 
 The pure-Python loop implements the identical algorithm over plain lists
 and remains the always-tested fallback; every backend combination produces
@@ -79,7 +84,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
-from repro.sat import _ccore
+from repro.sat import _ccore, flat
 from repro.sat.heap import ActivityHeap
 
 _UNDEF = -1
@@ -89,6 +94,10 @@ _TRUE = 1
 #: Arena words preceding a clause's literals: header, two watch links, two
 #: blocker literals.
 _HDR = 5
+
+#: Clauses per ``repro_load_clauses`` call: the arena grows by one slice's
+#: worst case at a time instead of the whole buffer's.
+_LOAD_SLICE = 8192
 
 #: Arena header flag bits.
 _FLAG_LEARNT = 1
@@ -346,24 +355,33 @@ class Solver:
 
     def new_var(self) -> int:
         """Allocate a fresh variable and return its (positive) index."""
-        self._num_vars += 1
-        self._assigns.append(_UNDEF)
-        self._level.append(0)
-        self._reason.append(0)
-        self._polarity.append(False)
-        self._activity.append(0.0)
-        self._seen.append(0)
-        self._heads.append(0)
-        self._heads.append(0)
-        self._trail.append(0)  # trail capacity: one slot per variable
-        self._order.insert(self._num_vars)
-        self.stats.max_vars = max(self.stats.max_vars, self._num_vars)
+        self.ensure_vars(self._num_vars + 1)
         return self._num_vars
 
     def ensure_vars(self, max_var: int) -> None:
-        """Allocate variables up to ``max_var`` (inclusive) if needed."""
-        while self._num_vars < max_var:
-            self.new_var()
+        """Allocate variables up to ``max_var`` (inclusive) if needed.
+
+        Every per-variable buffer grows in one step; the order heap gets
+        the same layout as allocating the variables one by one.
+        """
+        count = max_var - self._num_vars
+        if count <= 0:
+            return
+        first = self._num_vars + 1
+        self._num_vars = max_var
+        for buf, value in (
+            (self._assigns, _UNDEF),
+            (self._level, 0),
+            (self._reason, 0),
+            (self._polarity, False),
+            (self._activity, 0.0),
+            (self._seen, 0),
+            (self._trail, 0),  # trail capacity: one slot per variable
+        ):
+            _extend(buf, value, count)
+        _extend(self._heads, 0, 2 * count)
+        self._order.insert_fresh(first, max_var)
+        self.stats.max_vars = max(self.stats.max_vars, max_var)
 
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause of signed literals.
@@ -504,6 +522,101 @@ class Solver:
         for clause in clauses:
             ok = self.add_clause(clause) and ok
         return ok
+
+    def add_clause_buffer(
+        self,
+        lits: array,
+        ends: array,
+        range_ends: Sequence[int] = (),
+        range_sels: Sequence[int] = (),
+    ) -> bool:
+        """Add every clause of a flat int32 clause buffer, in order.
+
+        ``lits``/``ends`` use the :mod:`repro.sat.flat` layout.  The optional
+        range table assigns selectors: clause ``i`` lies in range ``r`` when
+        ``range_ends[r - 1] <= i < range_ends[r]``, and a non-zero
+        ``range_sels[r]`` appends ``-range_sels[r]`` to it; clauses past the
+        last range carry none.  Every variable must already exist
+        (:meth:`ensure_vars`); a malformed buffer or range table raises
+        ``ValueError`` before any clause is added.
+
+        The effect is exactly that of :meth:`add_clause` on each clause.  At
+        decision level 0 with no layer open, solvers on the flat buffers do
+        it with the ``repro_load_clauses`` C routine, a slice of clauses per
+        call so the arena grows about as per-clause loading grows it;
+        otherwise the per-clause loop runs, which is also the pure-Python
+        implementation.  Returns ``False`` once the formula is
+        unsatisfiable.
+        """
+        problem = flat.check_clause_buffer(lits, ends, self._num_vars)
+        if problem is not None:
+            raise ValueError(f"malformed clause buffer: {problem}")
+        range_ends = array(flat.TYPECODE, range_ends)
+        range_sels = array(flat.TYPECODE, range_sels)
+        bounds = [0, *range_ends, len(ends)]
+        if (
+            len(range_ends) != len(range_sels)
+            or bounds != sorted(bounds)
+            or not all(0 <= selector <= self._num_vars for selector in range_sels)
+        ):
+            raise ValueError("malformed clause range table")
+        if not self._ok:
+            return False
+        if not self._flat or self._trail_lim or self._layers:
+            start = 0
+            for stop, selector in [*zip(range_ends, range_sels), (len(ends), 0)]:
+                for clause in flat.clause_lists(lits, ends, start, stop, selector):
+                    self.add_clause(clause)
+                start = stop
+            return self._ok
+        load = _ccore.load_clauses_function()
+        arena = self._arena
+        physical = len(arena)
+        refs = array("l", bytes(_LOAD_SLICE * array("l").itemsize))
+        state = array("l", [0] * 8)
+        for first in range(0, len(ends), _LOAD_SLICE):
+            last = min(first + _LOAD_SLICE, len(ends))
+            width = ends[last - 1] - (ends[first - 1] if first else 0)
+            needed = self._arena_len + (_HDR + 1) * (last - first) + width
+            if len(arena) < needed:
+                arena.frombytes(bytes((needed - len(arena)) * arena.itemsize))
+            state[0:6] = array(
+                "l",
+                [self._qhead, self._trail_len, self._arena_len, 0, self._num_vars, len(arena)],
+            )
+            problem = load(
+                arena.buffer_info()[0],
+                self._heads.buffer_info()[0],
+                self._assigns.buffer_info()[0],
+                self._level.buffer_info()[0],
+                self._reason.buffer_info()[0],
+                self._trail.buffer_info()[0],
+                self._seen.buffer_info()[0],
+                lits.buffer_info()[0],
+                len(lits),
+                ends.buffer_info()[0],
+                len(ends),
+                first,
+                last,
+                range_ends.buffer_info()[0],
+                range_sels.buffer_info()[0],
+                len(range_ends),
+                refs.buffer_info()[0],
+                state.buffer_info()[0],
+            )
+            if problem:  # pragma: no cover - the buffers were validated above
+                raise RuntimeError(f"repro_load_clauses rejected a checked buffer ({problem})")
+            self._qhead = state[0]
+            self._trail_len = state[1]
+            self._arena_len = state[2]
+            self.stats.propagations += state[3]
+            self._clauses.extend(refs[: state[6]])
+            if not state[7]:
+                self._ok = False
+                break
+        # Keep the physical length add_clause would have left behind.
+        del arena[max(physical, self._arena_len) :]
+        return self._ok
 
     def solve(self, assumptions: Sequence[int] = ()) -> bool:
         """Solve under the given assumption literals.
@@ -1207,18 +1320,34 @@ class Solver:
         if level < self._search_floor:
             self._search_floor = level
         bound = self._trail_lim[level]
-        trail = self._trail
-        assigns = self._assigns
-        polarity = self._polarity
-        reason = self._reason
-        order_insert = self._order.insert
-        for index in range(self._trail_len - 1, bound - 1, -1):
-            ilit = trail[index]
-            var = ilit >> 1
-            assigns[var] = _UNDEF
-            polarity[var] = (ilit & 1) == 0
-            reason[var] = 0
-            order_insert(var)
+        if self._flat:
+            order = self._order
+            state = array("l", [self._trail_len, order.size])
+            _ccore.cancel_trail_function()(
+                self._trail.buffer_info()[0],
+                self._assigns.buffer_info()[0],
+                self._polarity.buffer_info()[0],
+                self._reason.buffer_info()[0],
+                order.heap_buffer().buffer_info()[0],
+                order.positions_buffer().buffer_info()[0],
+                self._activity.buffer_info()[0],
+                state.buffer_info()[0],
+                bound,
+            )
+            order.set_size(state[1])
+        else:
+            trail = self._trail
+            assigns = self._assigns
+            polarity = self._polarity
+            reason = self._reason
+            order_insert = self._order.insert
+            for index in range(self._trail_len - 1, bound - 1, -1):
+                ilit = trail[index]
+                var = ilit >> 1
+                assigns[var] = _UNDEF
+                polarity[var] = (ilit & 1) == 0
+                reason[var] = 0
+                order_insert(var)
         self._trail_len = bound
         del self._trail_lim[level:]
         self._qhead = bound
@@ -1678,6 +1807,14 @@ class Solver:
             # _EXIT_REDUCE and _EXIT_CAPACITY re-enter: the next iteration
             # re-provisions capacity and resumes at the loop top, where an
             # empty propagation queue makes re-entry a no-op.
+
+
+def _extend(buf, value, count: int) -> None:
+    """Append ``count`` copies of ``value`` to a list or ``array`` buffer."""
+    if isinstance(buf, array):
+        buf.extend(array(buf.typecode, [value]) * count)
+    else:
+        buf.extend([value] * count)
 
 
 class ConflictBudgetExceeded(RuntimeError):

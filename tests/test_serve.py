@@ -100,6 +100,106 @@ class TestArtifactSerialization:
             normalize_compile_options({"no_such_option": 1})
 
 
+def _schedule2_source() -> str:
+    """The faulty schedule2 program text (the Table 3 benchmark's patches
+    applied), as a client would submit it."""
+    from repro.siemens.programs import LARGE_BENCHMARKS
+
+    case = next(b for b in LARGE_BENCHMARKS if b.name == "schedule2")
+    lines = list(case.source_lines)
+    for line_number, replacement in case.patches:
+        lines[line_number - 1] = replacement
+    return "\n".join(lines) + "\n"
+
+
+def _corrupt_zero_literal(compiled):
+    compiled.lits[len(compiled.lits) // 2] = 0
+
+
+def _corrupt_literal_beyond_num_vars(compiled):
+    compiled.lits[3] = -(compiled.num_vars + 1)
+
+
+def _corrupt_decreasing_offsets(compiled):
+    compiled.ends[10] = compiled.ends[9] - 1
+
+
+def _corrupt_last_offset(compiled):
+    compiled.lits.append(1)
+
+
+def _corrupt_group_range_past_buffer(compiled):
+    compiled.group_ends[-1] = len(compiled.ends) + 1
+
+
+def _corrupt_group_ranges_out_of_order(compiled):
+    compiled.group_ends[0] = compiled.hard_clauses - 1
+
+
+def _corrupt_hard_block_past_buffer(compiled):
+    compiled.hard_clauses = len(compiled.ends) + 1
+
+
+def _corrupt_group_count(compiled):
+    compiled.group_ends.pop()
+
+
+def _corrupt_buffer_type(compiled):
+    compiled.lits = list(compiled.lits)
+
+
+FLAT_CORRUPTIONS = [
+    _corrupt_zero_literal,
+    _corrupt_literal_beyond_num_vars,
+    _corrupt_decreasing_offsets,
+    _corrupt_last_offset,
+    _corrupt_group_range_past_buffer,
+    _corrupt_group_ranges_out_of_order,
+    _corrupt_hard_block_past_buffer,
+    _corrupt_group_count,
+    _corrupt_buffer_type,
+]
+
+
+class TestFlatArtifactValidation:
+    """Format-6 clause buffers are checked before any C code indexes them:
+    a corrupt field is an ``ArtifactFormatError``, and a corrupt spill is a
+    recovered miss that recompiles."""
+
+    @pytest.fixture(scope="class")
+    def spilled(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("store")
+        store = ArtifactStore(root=root)
+        key, compiled, _ = store.get_or_compile(_schedule2_source(), {"name": "schedule2"})
+        return root, key, (root / f"{key}.artifact").read_bytes(), compiled
+
+    def test_sound_artifact_round_trips(self, spilled):
+        _, _, data, compiled = spilled
+        clone = loads_artifact(data)
+        assert clone.check_clauses() is None
+        assert clone.lits == compiled.lits and clone.ends == compiled.ends
+        assert clone.group_keys == compiled.group_keys
+        assert clone.hard == compiled.hard and clone.groups == compiled.groups
+
+    @pytest.mark.parametrize("corrupt", FLAT_CORRUPTIONS, ids=lambda f: f.__name__[9:])
+    def test_corrupt_field_is_rejected_and_recompiled(self, spilled, corrupt):
+        root, key, data, _ = spilled
+        victim = loads_artifact(data)
+        corrupt(victim)
+        blob = dumps_artifact(victim)
+        with pytest.raises(ArtifactFormatError):
+            loads_artifact(blob)
+        (root / f"{key}.artifact").write_bytes(blob)
+        fresh = ArtifactStore(root=root)
+        _, compiled, source = fresh.get_or_compile(_schedule2_source(), {"name": "schedule2"})
+        assert source == "compiled"
+        assert fresh.stats.corrupt_recovered == 1
+        assert fresh.stats.compiles == 1
+        assert compiled.check_clauses() is None
+        # The recompile re-spilled a sound artifact.
+        assert loads_artifact((root / f"{key}.artifact").read_bytes()).lits == compiled.lits
+
+
 class TestArtifactStore:
     def test_compile_once_then_memory_hits(self, tmp_path):
         store = ArtifactStore(root=tmp_path)

@@ -301,6 +301,33 @@ class TestLocalizationSession:
         assert pooled.ranked_lines == serial.ranked_lines
 
 
+class TestLoadSpans:
+    def test_artifact_and_engine_load_spans(self, monkeypatch):
+        """The artifact (de)serialization and the engine's clause load are
+        spans with their sizes; a session loads its engine exactly once."""
+        from repro import obs
+        from repro.bmc import dumps_artifact, loads_artifact
+
+        monkeypatch.setenv("REPRO_TRACE", "on")
+        program, failing = classify_failing_tests()
+        compiled = BoundedModelChecker(program, group_statements=True).compile_program()
+        with obs.trace("root") as handle:
+            clone = loads_artifact(dumps_artifact(compiled))
+            session = LocalizationSession.from_compiled(clone, max_candidates=2)
+            for test, spec in failing[:2]:
+                session.localize(test, spec)
+        by_name: dict[str, list[dict]] = {}
+        for span in handle.spans():
+            by_name.setdefault(span["name"], []).append(span)
+        sizes = {"clauses": compiled.num_clauses, "vars": compiled.num_vars}
+        assert [span["attrs"] for span in by_name["artifact.dump"]] == [sizes]
+        assert [span["attrs"] for span in by_name["artifact.load"]] == [sizes]
+        assert len(by_name["session.localize"]) == 2
+        (load,) = by_name["maxsat.engine_load"]
+        assert load["attrs"]["clauses"] == compiled.num_clauses
+        assert load["attrs"]["vars"] > compiled.num_vars  # plus selectors
+
+
 class TestSessionPinning:
     def test_pin_blocks_close_until_unpinned(self, motivating_program):
         session = LocalizationSession(motivating_program)
