@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bmc import BoundedModelChecker
 from repro.core import BugAssistLocalizer, Specification
 from repro.maxsat import WCNF, solve_maxsat
 from repro.siemens import classify_tcas_tests, tcas_faulty_program
@@ -45,17 +46,19 @@ def test_ablation_maxsat_strategy(benchmark, strategy, v13_instance):
 def test_ablation_clause_grouping(benchmark, v13_instance):
     """Clause grouping (Eq. 2) vs one soft clause per CNF clause."""
     program, test, spec = v13_instance
-    localizer = BugAssistLocalizer(program, mode="program", hard_lines=TCAS_HARNESS_LINES)
-    formula = localizer.build_trace_formula(test, spec)
+    compiled = BoundedModelChecker(program, group_statements=True).compile_program()
+    test_clauses, _ = compiled.test_clauses(test, spec)
 
-    grouped, _ = formula.to_wcnf(hard_groups=set(TCAS_HARNESS_LINES))
+    grouped, _ = compiled.to_wcnf(hard_groups=set(TCAS_HARNESS_LINES))
+    for clause in test_clauses:
+        grouped.add_hard(clause)
 
     def build_ungrouped() -> WCNF:
         wcnf = WCNF()
-        wcnf._num_vars = formula.num_vars
-        for clause in formula.hard:
+        wcnf._num_vars = compiled.num_vars
+        for clause in compiled.hard + test_clauses:
             wcnf.add_hard(clause)
-        for group, clauses in formula.groups.items():
+        for group, clauses in compiled.groups.items():
             for clause in clauses:
                 if group.line in TCAS_HARNESS_LINES:
                     wcnf.add_hard(clause)

@@ -6,9 +6,9 @@ failing tests twice:
 * **session** — one :class:`~repro.core.session.LocalizationSession`
   compiles the whole-program encoding once and runs every failing test
   against the persistent MaxSAT engine (solver push/pop between tests);
-* **baseline** — the pre-session per-test protocol: a fresh
-  whole-program encoding, WCNF and engine per failing test (what
-  ``BugAssistPipeline.localize_many`` did before the session API).
+* **baseline** — the per-test protocol: a fresh
+  :class:`~repro.core.session.LocalizationSession` per failing test, so
+  every test pays a whole-program encoding, WCNF and engine of its own.
 
 Both sides examine the top ``MAX_CANDIDATES`` CoMSSes per failing test and
 must report identical line sets per test.  Besides the printed table the
@@ -34,7 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import pytest
 
 from conftest import tcas_pool_size, tcas_versions_under_test
-from repro.core import BugAssistLocalizer, LocalizationSession, Specification
+from repro.core import LocalizationSession, Specification
 from repro.siemens.suite import TCAS_HARNESS_LINES, classify_tcas_tests
 from repro.siemens.tcas import tcas_faulty_program
 
@@ -80,16 +80,13 @@ def run_version(version: str, test_count: int, max_tests: int) -> dict:
         )
     session_process = time.perf_counter() - started
 
-    localizer = BugAssistLocalizer(
-        program,
-        mode="program",
-        hard_lines=TCAS_HARNESS_LINES,
-        max_candidates=MAX_CANDIDATES,
-    )
     started = time.perf_counter()
-    baseline_reports = [
-        localizer.localize_test(test, spec) for test, spec in tests
-    ]
+    baseline_reports = []
+    for test, spec in tests:
+        with LocalizationSession(
+            program, hard_lines=TCAS_HARNESS_LINES, max_candidates=MAX_CANDIDATES
+        ) as fresh:
+            baseline_reports.append(fresh.localize(test, spec))
     baseline = time.perf_counter() - started
 
     lines_equal = all(

@@ -7,15 +7,19 @@ number of reported fault locations, and the run time.
 
 Besides the human-readable table, the run writes ``BENCH_table3.json`` at
 the repository root — ``{"rows": [...], "metrics": {...}}``, one row per
-benchmark with the clause counts, the number of SAT calls and the wall
-time, plus the run's :data:`repro.obs.REGISTRY` metrics snapshot
-(span-fed encode-phase histograms and solver-effort counters) — so the
-performance trajectory can be tracked across PRs.  Each row also carries
+benchmark with the clause counts, the number of SAT calls, the wall time
+of the localization pipeline (``time_seconds``: delta debugging, slicing,
+the reduced trace and the CoMSS loop) and of the row's instrumentation
+runs (``instrumentation_seconds``: the two whole-program compiles and the
+full and unnarrowed traces), plus the run's :data:`repro.obs.REGISTRY`
+metrics snapshot (span-fed encode-phase histograms and solver-effort
+counters) — so the performance trajectory can be tracked across PRs.  Each row also carries
 *why*-a-row-moved fields:
 ``propagations_per_second`` (propagation throughput, which reflects whether
 the C propagation core or the pure-Python fallback ran),
 ``conflicts_per_second`` (search-kernel throughput: conflict analysis,
-backjumping and VSIDS maintenance), ``gates_shared`` (how many gates the
+backjumping and VSIDS maintenance; both rates are per second of the
+localization's own time), ``gates_shared`` (how many gates the
 structure-hashed circuit cache deduplicated while encoding) and
 ``simplifier`` (the encoder configuration), ``clauses_pruned`` /
 ``narrowed_vars`` (what the interval-analysis bit narrowing removed from
@@ -27,7 +31,8 @@ The emission-core fields say *which encoder* produced the row and where
 its time went: ``encode_backend`` (``"c"`` when the C emission core ran,
 else ``"python"``) and ``encode_phase_analysis`` / ``encode_phase_gates`` /
 ``encode_phase_materialize`` (interval analysis, the encode walk with gate
-emission, and the final clause materialization, in seconds).
+emission, and the final read-out of the arena into the flat clause
+buffers, in seconds).
 """
 
 from __future__ import annotations
@@ -155,6 +160,7 @@ def _write_bench_json() -> None:
             "maxsat_calls": row.maxsat_calls,
             "sat_calls": row.sat_calls,
             "time_seconds": round(row.time_seconds, 3),
+            "instrumentation_seconds": round(row.instrumentation_seconds, 3),
             "propagations_per_second": round(row.propagations_per_second),
             "conflicts_per_second": round(row.conflicts_per_second),
             "gates_shared": row.gates_shared,

@@ -6,35 +6,31 @@ multiplexers between the new and old value, loops are unrolled up to the
 ``unwind`` bound (with a CBMC-style unwinding assumption that the loop has
 terminated), and function calls are inlined up to ``max_call_depth``.
 
-Three front doors are provided:
+Two front doors are provided:
 
 * :meth:`BoundedModelChecker.find_counterexample` — the CBMC role in
   Section 4.1: find a concrete input violating some assertion.
 * :meth:`BoundedModelChecker.compile_program` — encode "the entire boolean
   representation of the program" (Section 6.2) once, *without* any test
   baked in, as a reusable :class:`~repro.bmc.compiled.CompiledProgram`
-  artifact; the session API localizes many failing tests against it.
-* :meth:`BoundedModelChecker.encode_program_formula` — the one-shot
-  convenience: compile and immediately pin one failing test plus the
-  post-condition, yielding the extended trace formula used for the TCAS
-  experiments.
+  artifact; the session API localizes failing tests against it (the TCAS
+  experiments).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro import obs
 from repro.bmc.compiled import CompiledProgram
 from repro.encoding.circuits import Bits, CircuitBuilder, simplifier_name
 from repro.encoding.context import ArenaEncodingContext, StatementGroup
 from repro.encoding.symbolic import ExpressionEncoder
-from repro.encoding.trace import TraceFormula, TraceStep
+from repro.encoding.trace import TraceStep
 from repro.lang import ast
 from repro.lang.semantics import DEFAULT_WIDTH
 from repro.sat import Solver
-from repro.spec import Specification
 
 
 @dataclass
@@ -138,13 +134,10 @@ class BoundedModelChecker:
         builder = self._builder
         if not self._violations:
             return None
+        lits, ends, _, _, _ = self._context.flat_clauses()
         solver = Solver()
         solver.ensure_vars(self._context.num_vars)
-        for clause in self._context.hard:
-            solver.add_clause(clause)
-        for clauses in self._context.groups.values():
-            for clause in clauses:
-                solver.add_clause(clause)
+        solver.add_clause_buffer(lits, ends)
         solver.add_clause([lit for _, lit in self._violations])
         if not solver.solve():
             return None
@@ -233,26 +226,6 @@ class BoundedModelChecker:
                 labels={"phase": phase},
             ).observe(seconds)
         return compiled
-
-    def encode_program_formula(
-        self,
-        inputs: Sequence[int] | Mapping[str, int],
-        spec: Specification,
-        entry: str = "main",
-        nondet_values: Sequence[int] = (),
-    ) -> TraceFormula:
-        """Encode the whole program with the failing test and post-condition.
-
-        The returned :class:`TraceFormula` has the test-input equalities and
-        the specification as hard clauses and one clause group per statement,
-        ready to be turned into the partial MaxSAT instance of Algorithm 1.
-        Requires the checker to have been built with ``group_statements=True``.
-        One-shot convenience over :meth:`compile_program` — callers that
-        localize several failing tests of the same program should compile
-        once and use a :class:`~repro.core.session.LocalizationSession`.
-        """
-        compiled = self.compile_program(entry)
-        return compiled.trace_formula(inputs, spec, nondet_values=nondet_values)
 
     # ----------------------------------------------------- resolver protocol
 

@@ -36,9 +36,8 @@ from typing import Mapping, Optional, Sequence
 from repro import obs
 
 from repro.encoding.context import StatementGroup
-from repro.encoding.trace import TraceFormula, TraceStep
+from repro.encoding.trace import FlatFormula, TraceStep
 from repro.lang.semantics import to_unsigned, wrap
-from repro.maxsat import WCNF
 from repro.sat import flat
 from repro.spec import Specification
 
@@ -177,17 +176,17 @@ def _set_encode_profile(compiled: "CompiledProgram", profile: dict) -> None:
 
 
 @dataclass
-class CompiledProgram:
+class CompiledProgram(FlatFormula):
     """The invariant whole-program CNF of one entry function.
 
     Produced by :meth:`repro.bmc.BoundedModelChecker.compile_program`.  The
-    clauses never mention a concrete test.  They are flat
-    (:mod:`repro.sat.flat`): ``lits``/``ends`` hold every clause, the first
-    ``hard_clauses`` of them the structural clauses (guards, multiplexers,
-    unwinding assumptions), then one range per statement group — the
-    per-statement transition clauses that become soft selector groups —
-    with ``group_keys`` the groups in sorted order and ``group_ends[k]``
-    the clause index ending the range of ``group_keys[k]``.  The
+    clauses never mention a concrete test.  They use the flat formula
+    layout of :class:`~repro.encoding.trace.FlatFormula`: the hard block
+    holds the structural clauses (guards, multiplexers, unwinding
+    assumptions), and each statement group's range holds its transition
+    clauses, which become soft selector groups.  :meth:`to_wcnf` turns the
+    encoding into the shared partial MaxSAT instance a session loads once;
+    per-test units are then asserted as retractable layers.  The
     bit-vector maps locate the points where a test plugs in.
     """
 
@@ -243,28 +242,7 @@ class CompiledProgram:
         timings are observability data, not content, and never serialize."""
         return obs.profile_of(self)
 
-    @property
-    def num_clauses(self) -> int:
-        """Clause count of the invariant encoding (hard plus grouped)."""
-        return len(self.ends)
-
     # ------------------------------------------------------------- clauses
-
-    @property
-    def hard(self) -> list[list[int]]:
-        """The hard block as clause lists (a read-only view per access)."""
-        return flat.clause_lists(self.lits, self.ends, 0, self.hard_clauses)
-
-    @property
-    def groups(self) -> dict[StatementGroup, list[list[int]]]:
-        """Each group's clauses as lists, in sorted group order (a
-        read-only view per access)."""
-        views: dict[StatementGroup, list[list[int]]] = {}
-        start = self.hard_clauses
-        for group, stop in zip(self.group_keys, self.group_ends):
-            views[group] = flat.clause_lists(self.lits, self.ends, start, stop)
-            start = stop
-        return views
 
     def check_clauses(self) -> Optional[str]:
         """Why the clause buffers are malformed, or ``None`` when sound.
@@ -302,13 +280,6 @@ class CompiledProgram:
     def unwind_truncated(self) -> bool:
         """True when some loop's proven trip count was truncated."""
         return bool(self.truncated_loops)
-
-    @property
-    def num_assignments(self) -> int:
-        """Number of assignment operations in the encoding (Table 3's assign#)."""
-        return sum(
-            1 for step in self.steps if step.kind in ("assign", "array-assign", "decl")
-        )
 
     # -------------------------------------------------------- constant bits
 
@@ -429,55 +400,3 @@ class CompiledProgram:
                 wanted = bool((pattern >> position) & 1)
                 hints[abs(lit)] = wanted if lit > 0 else not wanted
         return hints
-
-    # ----------------------------------------------------------- conversion
-
-    def trace_formula(
-        self,
-        inputs: Sequence[int] | Mapping[str, int],
-        spec: Specification,
-        nondet_values: Sequence[int] = (),
-    ) -> TraceFormula:
-        """Bake one test into a standalone extended trace formula.
-
-        This reproduces the classic one-shot
-        :meth:`~repro.bmc.BoundedModelChecker.encode_program_formula`
-        output: the invariant hard clauses followed by the per-test units.
-        """
-        clauses, test_inputs = self.test_clauses(inputs, spec, nondet_values)
-        return TraceFormula(
-            width=self.width,
-            num_vars=self.num_vars,
-            hard=self.hard + clauses,
-            groups=self.groups,
-            steps=list(self.steps),
-            test_inputs=test_inputs,
-            assertion_description=spec.describe(),
-            gates_shared=self.gates_shared,
-            simplifier=self.simplifier,
-            signature=self.signature,
-            narrowed_vars=self.narrowed_vars,
-        )
-
-    def to_wcnf(
-        self, hard_groups: Optional[set[int]] = None
-    ) -> tuple[WCNF, dict[int, StatementGroup]]:
-        """The invariant encoding as the shared partial MaxSAT instance.
-
-        The same instance :meth:`~repro.encoding.trace.TraceFormula.to_wcnf`
-        builds from a test-less formula — hard block, then per sorted group
-        either a soft group (clause range plus fresh selector, weight 1) or,
-        for lines in ``hard_groups``, plain hard clauses — but made from
-        the flat buffers with array copies.  A session loads it exactly
-        once; per-test units are then asserted as retractable layers.
-        """
-        wcnf = WCNF.from_clause_buffer(self.lits, self.ends, self.num_vars)
-        wcnf.signature = self.signature or None
-        selector_to_group: dict[int, StatementGroup] = {}
-        start = self.hard_clauses
-        for group, stop in zip(self.group_keys, self.group_ends):
-            if hard_groups is None or group.line not in hard_groups:
-                selector = wcnf.add_soft_range(start, stop, label=group)
-                selector_to_group[selector] = group
-            start = stop
-        return wcnf, selector_to_group

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
+from repro import obs
 from repro.encoding.circuits import Bits, CircuitBuilder, simplifier_name
 from repro.encoding.context import ArenaEncodingContext, StatementGroup
 from repro.encoding.symbolic import ExpressionEncoder, expression_has_effects
@@ -109,7 +110,25 @@ class ConcolicTracer:
 
         Raises :class:`TraceError` if the test does not actually violate the
         specification (the formula would not be unsatisfiable in that case).
+        Timed as the ``concolic.trace`` span, which carries the formula's
+        clause, variable and assignment counts.
         """
+        with obs.span("concolic.trace", program=self.program.name) as timed:
+            formula = self._trace(inputs, spec, entry, nondet_values)
+            timed.set(
+                clauses=formula.num_clauses,
+                vars=formula.num_vars,
+                assignments=formula.num_assignments,
+            )
+        return formula
+
+    def _trace(
+        self,
+        inputs: Sequence[int] | Mapping[str, int],
+        spec: Specification,
+        entry: str,
+        nondet_values: Sequence[int],
+    ) -> TraceFormula:
         self._context = ArenaEncodingContext(self.width)
         self._builder = CircuitBuilder(self._context, simplify=self.simplify)
         self._encoder = ExpressionEncoder(self._builder, self)
@@ -200,16 +219,26 @@ class ConcolicTracer:
                     for bits, value in zip(observable_symbolic, expected):
                         self._builder.fix_to_value(bits, value)
 
-        self._context.finalize()
+        context = self._context
+        context.finalize()
         # The encoder points back at this tracer: drop it so the encoding
         # state is freed with the tracer, not at the next cyclic collection.
         self._encoder = None
-        return TraceFormula.from_context(
-            self._context,
+        lits, ends, hard_clauses, group_keys, group_ends = context.flat_clauses()
+        return TraceFormula(
+            width=context.width,
+            num_vars=context.num_vars,
+            lits=lits,
+            ends=ends,
+            hard_clauses=hard_clauses,
+            group_keys=group_keys,
+            group_ends=group_ends,
             steps=self._steps,
-            test_inputs=self._test_inputs,
+            test_inputs=dict(self._test_inputs),
             assertion_description=description,
+            gates_shared=context.gate_hits,
             simplifier=simplifier_name(self.simplify),
+            signature=context.gate_signature,
             narrowed_vars=self._narrowed_vars,
         )
 

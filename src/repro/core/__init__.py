@@ -1,9 +1,14 @@
 """The BugAssist algorithms — the paper's primary contribution.
 
-* :class:`BugAssistLocalizer` — Algorithm 1: build the extended trace
-  formula for a failing test, repeatedly extract CoMSSes from the partial
-  MaxSAT instance, block each one, and report the corresponding source
-  lines as candidate error locations.
+* :class:`LocalizationSession` — Algorithm 1: turn the extended trace
+  formula of a failing test into a partial MaxSAT instance, repeatedly
+  extract CoMSSes, block each one, and report the corresponding source
+  lines as candidate error locations.  Whole-program formulas are compiled
+  once and every failing test is localized against them with solver
+  push/pop between tests; concolic trace formulas are localized through
+  the same CoMSS loop.
+* :class:`BugAssistLocalizer` — the per-test front end: a thin wrapper
+  that localizes through one cached session per entry function.
 * :func:`rank_locations` / :class:`RankedLocalization` — Section 4.3:
   aggregate localization over many failing tests and rank lines by how
   often they are reported.
@@ -13,12 +18,6 @@
 * :class:`LoopIterationLocalizer` — Section 5.2: weighted soft clauses with
   per-iteration selector variables to pin-point the loop iteration at which
   the failure is first caused.
-* :class:`LocalizationSession` — the session API: compile the
-  whole-program encoding once, then ``localize``/``localize_batch`` many
-  failing tests against it with solver push/pop between tests.
-* :class:`BugAssistPipeline` — the end-to-end flow of Figure 1 (failing
-  trace generation via tests or BMC, localization, optional repair);
-  deprecated in favour of the session.
 """
 
 from repro.core.report import BugLocation, LocalizationReport, RankedLocalization
@@ -33,7 +32,6 @@ from repro.core.session import (
     ShardLocalizationError,
     TestCase,
 )
-from repro.core.pipeline import BugAssistPipeline, PipelineConfig
 from repro.spec import Specification
 
 __all__ = [
@@ -52,7 +50,5 @@ __all__ = [
     "RepairResult",
     "LoopIterationLocalizer",
     "LoopIterationReport",
-    "BugAssistPipeline",
-    "PipelineConfig",
     "Specification",
 ]

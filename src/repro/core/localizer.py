@@ -1,6 +1,6 @@
-"""Algorithm 1: the BugAssist localization loop.
+"""Algorithm 1 per failing test: the BugAssist localizer front end.
 
-Given a failing test, the localizer
+Given a failing test, BugAssist
 
 1. builds the extended trace formula — either from "the entire boolean
    representation of the program" (``mode="program"``, the CBMC-style
@@ -11,59 +11,28 @@ Given a failing test, the localizer
 2. converts it to a partial MaxSAT instance (test input and post-condition
    hard, one soft selector clause per statement),
 3. repeatedly asks the MaxSAT engine for a CoMSS, reports the corresponding
-   statements as a candidate bug location, and blocks that CoMSS by adding
-   the disjunction of its selectors as a hard clause while removing them
-   from the soft set,
+   statements as a candidate bug location, and blocks that CoMSS,
 4. stops when no further CoMSS exists ("no more suspects").
 
-The CoMSS loop is incremental: the trace formula is loaded into one engine
-(and hence one persistent SAT solver) once, and each blocking clause is
-added to the live solver through :meth:`MaxSatEngine.block` — learnt
-clauses, variable activities and saved phases from earlier candidates all
-carry over, instead of rebuilding a fresh engine and WCNF per candidate.
+Steps 2-4 have one implementation, in
+:class:`~repro.core.session.LocalizationSession`.  :class:`BugAssistLocalizer`
+is a thin wrapper over it: program mode localizes through one cached
+session per entry function (the program is compiled once), and trace mode
+builds the concolic trace formula and hands it to the session's
+trace-formula entry point.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.concolic import ConcolicTracer
-from repro.core.report import BugLocation, LocalizationReport
-from repro.encoding.context import StatementGroup
+from repro.core.report import LocalizationReport
+from repro.core.session import LocalizationSession
 from repro.encoding.trace import TraceFormula
 from repro.lang import ast
 from repro.lang.semantics import DEFAULT_WIDTH
-from repro.maxsat import MaxSatEngine, make_engine
 from repro.spec import Specification
-
-
-def run_comss_loop(
-    engine: MaxSatEngine, report: LocalizationReport, max_candidates: int
-) -> None:
-    """Lines 5-15 of Algorithm 1: enumerate and block CoMSSes.
-
-    Shared by the one-shot localizer and the session API so both produce
-    identical candidate sequences.  Appends to ``report.candidates`` and
-    sets ``report.maxsat_calls``; the caller accounts for SAT calls and
-    wall time (the session reports per-test deltas on a shared engine).
-    """
-    maxsat_calls = 0
-    for _ in range(max_candidates):
-        result = engine.solve_current()
-        maxsat_calls += 1
-        if not result.satisfiable or not result.falsified:
-            break
-        groups = tuple(
-            label
-            for label in result.falsified_labels
-            if isinstance(label, StatementGroup)
-        )
-        if not groups:
-            break
-        report.candidates.append(BugLocation(groups=groups, cost=result.cost))
-        engine.block(result.falsified)
-    report.maxsat_calls = maxsat_calls
 
 
 class BugAssistLocalizer:
@@ -105,6 +74,7 @@ class BugAssistLocalizer:
         self.concrete_functions = tuple(concrete_functions)
         self.hard_functions = tuple(hard_functions)
         self.hard_lines = set(hard_lines)
+        self._sessions: dict[str, LocalizationSession] = {}
 
     # ------------------------------------------------------------------ API
 
@@ -115,19 +85,15 @@ class BugAssistLocalizer:
         entry: str = "main",
         nondet_values: Sequence[int] = (),
     ) -> TraceFormula:
-        """Build the extended trace formula for one failing test."""
-        if self.mode == "program":
-            from repro.bmc import BoundedModelChecker
+        """Build the concolic trace formula for one failing test.
 
-            checker = BoundedModelChecker(
-                self.program,
-                width=self.width,
-                unwind=self.unwind,
-                group_statements=True,
-                hard_functions=self.hard_functions,
-            )
-            return checker.encode_program_formula(
-                inputs, spec, entry=entry, nondet_values=nondet_values
+        Trace mode only: a program-mode localizer has no per-test formula —
+        it localizes on its session's compiled program instead.
+        """
+        if self.mode != "trace":
+            raise ValueError(
+                "build_trace_formula needs mode='trace'; program mode "
+                "localizes on the session's compiled program"
             )
         tracer = ConcolicTracer(
             self.program,
@@ -143,24 +109,9 @@ class BugAssistLocalizer:
         program_name: Optional[str] = None,
     ) -> LocalizationReport:
         """Run the CoMSS enumeration loop of Algorithm 1 on a trace formula."""
-        started = time.perf_counter()
-        wcnf, selector_to_group = formula.to_wcnf(hard_groups=self.hard_lines or None)
-        report = LocalizationReport(
-            program_name=program_name or self.program.name,
-            test_inputs=dict(formula.test_inputs),
-            specification=formula.assertion_description,
-            trace_assignments=formula.num_assignments,
-            trace_variables=formula.num_vars,
-            trace_clauses=formula.num_clauses,
+        return self._session().localize_trace(
+            formula, program_name=program_name or self.program.name
         )
-        engine = make_engine(self.strategy)
-        engine.load(wcnf)
-        run_comss_loop(engine, report, self.max_candidates)
-        report.sat_calls = engine.sat_calls
-        report.propagations = engine.solver_stats.propagations
-        report.conflicts = engine.solver_stats.conflicts
-        report.time_seconds = time.perf_counter() - started
-        return report
 
     def localize_test(
         self,
@@ -170,8 +121,31 @@ class BugAssistLocalizer:
         nondet_values: Sequence[int] = (),
         program_name: Optional[str] = None,
     ) -> LocalizationReport:
-        """Localize starting from a failing test (trace + CoMSS loop)."""
+        """Localize starting from a failing test."""
+        if self.mode == "program":
+            return self._session(entry).localize(
+                inputs, spec, nondet_values=nondet_values, program_name=program_name
+            )
         formula = self.build_trace_formula(
             inputs, spec, entry=entry, nondet_values=nondet_values
         )
         return self.localize_trace(formula, program_name=program_name)
+
+    # ------------------------------------------------------------- internals
+
+    def _session(self, entry: str = "main") -> LocalizationSession:
+        """The session this localizer runs on for ``entry`` (created once;
+        it compiles the whole program only when program mode needs it)."""
+        session = self._sessions.get(entry)
+        if session is None:
+            session = self._sessions[entry] = LocalizationSession(
+                self.program,
+                width=self.width,
+                strategy=self.strategy,
+                unwind=self.unwind,
+                max_candidates=self.max_candidates,
+                entry=entry,
+                hard_functions=self.hard_functions,
+                hard_lines=self.hard_lines,
+            )
+        return session

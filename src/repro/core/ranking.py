@@ -4,11 +4,11 @@ BugAssist becomes more precise when run with several failing tests: each run
 reports a set of candidate lines, and ranking the lines by how frequently
 they are reported narrows the search to the true fault.
 
-The runner accepts either a per-test
-:class:`~repro.core.localizer.BugAssistLocalizer` (one encoding per failing
-test) or a :class:`~repro.core.session.LocalizationSession` (one shared
-encoding for the whole batch) — both expose the same ``localize_test``
-surface.  :func:`merge_reports` is the order-preserving aggregation step,
+The runner accepts either a
+:class:`~repro.core.localizer.BugAssistLocalizer` or a
+:class:`~repro.core.session.LocalizationSession` (in program mode the
+localizer runs on a cached session, so both share one encoding across the
+batch) — both expose the same ``localize_test`` surface.  :func:`merge_reports` is the order-preserving aggregation step,
 shared with the session's sharded batch executor so serial and process-pool
 runs rank identically.
 """

@@ -22,7 +22,10 @@ test-input equalities and the post-condition units differ.  A
 * :meth:`LocalizationSession.localize_batch` shards the failing tests over
   a process pool (``executor="process"``), pickling the compiled artifact
   once per worker, and merges the per-test reports into a
-  :class:`~repro.core.report.RankedLocalization`.
+  :class:`~repro.core.report.RankedLocalization`;
+* :meth:`LocalizationSession.localize_trace` runs the same CoMSS loop, with
+  the same report counters, spans and metrics, on a concolic
+  :class:`~repro.encoding.trace.TraceFormula` (the trace mode of Table 3).
 
 Typical use::
 
@@ -34,18 +37,19 @@ Typical use::
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from repro import obs
 from repro.bmc import BoundedModelChecker, CompiledProgram
-from repro.core.localizer import run_comss_loop
 from repro.core.ranking import merge_reports
-from repro.core.report import LocalizationReport, RankedLocalization
+from repro.core.report import BugLocation, LocalizationReport, RankedLocalization
+from repro.encoding.context import StatementGroup
+from repro.encoding.trace import TraceFormula
 from repro.lang import ast
 from repro.lang.semantics import DEFAULT_WIDTH
 from repro.maxsat import MaxSatEngine, make_engine
+from repro.sat.solver import SolverStats
 from repro.spec import Specification
 
 TestCase = Sequence[int] | Mapping[str, int]
@@ -77,6 +81,37 @@ class BatchLocalizationError(RuntimeError):
     """A shard of a batch localization failed twice (original run + retry)."""
 
 
+def run_comss_loop(
+    engine: MaxSatEngine, report: LocalizationReport, max_candidates: int
+) -> None:
+    """Lines 5-15 of Algorithm 1: enumerate and block CoMSSes.
+
+    Asks the loaded engine for a CoMSS, appends its statements to
+    ``report.candidates`` as a candidate bug location, and blocks it by
+    adding the disjunction of its selectors as a hard clause on the live
+    solver while retiring them from the soft set — learnt clauses,
+    activities and saved phases carry over to the next candidate.  Stops
+    at ``max_candidates`` or when no CoMSS is left, and sets
+    ``report.maxsat_calls``.
+    """
+    maxsat_calls = 0
+    for _ in range(max_candidates):
+        result = engine.solve_current()
+        maxsat_calls += 1
+        if not result.satisfiable or not result.falsified:
+            break
+        groups = tuple(
+            label
+            for label in result.falsified_labels
+            if isinstance(label, StatementGroup)
+        )
+        if not groups:
+            break
+        report.candidates.append(BugLocation(groups=groups, cost=result.cost))
+        engine.block(result.falsified)
+    report.maxsat_calls = maxsat_calls
+
+
 def _test_label(index: int, test: FailingTest) -> str:
     inputs, spec = test
     if isinstance(inputs, Mapping):
@@ -99,9 +134,9 @@ class SessionStats:
 class LocalizationSession:
     """Localize many failing tests against one compiled program encoding.
 
-    The session is the primary user-facing localization API; the per-test
-    :class:`~repro.core.localizer.BugAssistLocalizer` remains for one-shot
-    use and for the dynamic-trace mode.  Sessions are context managers::
+    The session is the one localization path: the per-test
+    :class:`~repro.core.localizer.BugAssistLocalizer` is a thin wrapper
+    over it, in program and in trace mode.  Sessions are context managers::
 
         with LocalizationSession(program, hard_lines=(7, 8)) as session:
             report = session.localize(test, spec)
@@ -297,24 +332,14 @@ class LocalizationSession:
                 trace_clauses=compiled.num_clauses + len(clauses),
                 unwind_truncated=compiled.unwind_truncated,
             )
-            sat_calls_before = engine.sat_calls
             engine.push_layer()
             try:
                 for clause in clauses:
                     engine.add_hard(clause)
                 if self.warm_start:
                     engine.set_phases(compiled.phase_hints(test_inputs))
-                with obs.span("solve.comss") as solve_span:
-                    run_comss_loop(engine, report, self.max_candidates)
-                layer_stats = engine.layer_stats()
-                report.propagations = layer_stats.propagations
-                report.conflicts = layer_stats.conflicts
+                layer_stats = self._solve(engine, report)
                 profile = dict(engine.layer_profile())
-                solve_span.set(
-                    sat_calls=profile.get("sat_calls"),
-                    propagations=layer_stats.propagations,
-                    conflicts=layer_stats.conflicts,
-                )
                 encode_profile = compiled.encode_profile()
                 if encode_profile:
                     profile["encode_backend"] = encode_profile["encode_backend"]
@@ -326,9 +351,70 @@ class LocalizationSession:
                 self.last_request_profile = profile
             finally:
                 engine.pop_layer()
-            report.sat_calls = engine.sat_calls - sat_calls_before
-        report.time_seconds = request_span.duration
-        _record_localize_metrics(report, layer_stats)
+        return self._finish(report, request_span.duration, layer_stats)
+
+    def localize_trace(
+        self, formula: TraceFormula, program_name: Optional[str] = None
+    ) -> LocalizationReport:
+        """Run Algorithm 1 on a standalone trace formula (trace mode).
+
+        A concolic trace formula already holds its failing test and
+        specification as hard clauses and belongs to one execution, so it
+        gets an engine of its own instead of a layer on the shared
+        whole-program engine; the program is never compiled for it.  The
+        session's strategy, candidate budget and hard lines apply, and the
+        CoMSS loop, report counters, spans and metrics are those of
+        :meth:`localize`.
+        """
+        if self._closed:
+            raise RuntimeError("session is closed")
+        if program_name is None:
+            program_name = (
+                self.program.name if self.program is not None
+                else self.compiled.program_name
+            )
+        with obs.span("session.localize_trace", program=program_name) as request_span:
+            wcnf, _ = formula.to_wcnf(hard_groups=self.hard_lines or None)
+            report = LocalizationReport(
+                program_name=program_name,
+                test_inputs=dict(formula.test_inputs),
+                specification=formula.assertion_description,
+                trace_assignments=formula.num_assignments,
+                trace_variables=formula.num_vars,
+                trace_clauses=formula.num_clauses,
+            )
+            engine = make_engine(self.strategy)
+            engine.load(wcnf)
+            stats = self._solve(engine, report)
+        return self._finish(report, request_span.duration, stats)
+
+    def _solve(self, engine: MaxSatEngine, report: LocalizationReport) -> SolverStats:
+        """The CoMSS loop on a loaded engine, as the ``solve.comss`` span.
+
+        Fills the report's SAT-call, propagation and conflict counters with
+        the work of this request (the innermost engine layer's deltas) and
+        returns that solver-statistics delta.
+        """
+        sat_calls_before = engine.sat_calls
+        with obs.span("solve.comss") as solve_span:
+            run_comss_loop(engine, report, self.max_candidates)
+        stats = engine.layer_stats()
+        report.sat_calls = engine.sat_calls - sat_calls_before
+        report.propagations = stats.propagations
+        report.conflicts = stats.conflicts
+        solve_span.set(
+            sat_calls=report.sat_calls,
+            propagations=stats.propagations,
+            conflicts=stats.conflicts,
+        )
+        return stats
+
+    def _finish(
+        self, report: LocalizationReport, seconds: float, stats: SolverStats
+    ) -> LocalizationReport:
+        """Time the report and absorb it into the session and process metrics."""
+        report.time_seconds = seconds
+        _record_localize_metrics(report, stats)
         self.stats.tests_localized += 1
         self.stats.maxsat_calls += report.maxsat_calls
         self.stats.sat_calls += report.sat_calls

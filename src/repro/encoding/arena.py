@@ -20,11 +20,10 @@ with C vector kernels freely, and both backends produce bit-identical
 results by construction of the shared layout (and by the differential test
 matrix for the C reimplementation of the fold rules).
 
-At the end of a compile :meth:`GateArena.partition` lays the clauses out
-as the artifact's flat int32 buffers (hard block, then one block per
-statement group), and trace-mode readers get the legacy ``hard``/``groups``
-clause lists from :meth:`GateArena.materialize`; either way the result is
-byte-for-byte independent of which backend filled the arena.
+At the end of an encode :meth:`GateArena.partition` lays the clauses out
+as the flat int32 formula buffers (hard block, then one block per
+statement group) that compiled programs and trace formulas hold; the
+result is byte-for-byte independent of which backend filled the arena.
 """
 
 from __future__ import annotations
@@ -236,10 +235,10 @@ class GateArena:
         hdr[HDR_NCLAUSES] = n
         hdr[HDR_LITS] = off
 
-    # -------------------------------------------------------- materialization
+    # --------------------------------------------------------- read-out
 
     def partition(self, group_table: list) -> tuple:
-        """The clause store in the flat artifact layout.
+        """The clause store in the flat formula layout.
 
         Returns ``(lits, ends, hard_clauses, groups, group_ends)``: int32
         buffers in the :mod:`repro.sat.flat` layout holding the hard
@@ -297,39 +296,3 @@ class GateArena:
             hard = len(blocks[0])
         groups = tuple(group_table[gid] for gid in order)
         return out_lits, out_ends, hard, groups, group_ends
-
-    def materialize(self, group_table: list) -> tuple[list, dict]:
-        """Rebuild the legacy ``(hard, groups)`` clause lists.
-
-        ``groups`` maps every entry of ``group_table`` (indexed by the
-        ``cgid`` ids) to its clauses, in emission order.
-        """
-        hdr = self.hdr
-        nclauses = hdr[HDR_NCLAUSES]
-        lits, cend, cgid = self.lits, self.cend, self.cgid
-        from repro.sat import _ccore
-
-        native = _ccore.materialize_function()
-        if native is not None:
-            hard, grouped = native(
-                lits.buffer_info()[0],
-                cend.buffer_info()[0],
-                cgid.buffer_info()[0],
-                nclauses,
-                len(group_table),
-            )
-            return hard, dict(zip(group_table, grouped))
-        hard: list[list[int]] = []
-        groups: dict = {group: [] for group in group_table}
-        grouped: list[list] = [groups[group] for group in group_table]
-        start = 0
-        for index in range(nclauses):
-            end = cend[index]
-            clause = lits[start:end].tolist()
-            start = end
-            gid = cgid[index]
-            if gid < 0:
-                hard.append(clause)
-            else:
-                grouped[gid].append(clause)
-        return hard, groups

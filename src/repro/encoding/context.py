@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -152,11 +151,10 @@ class ArenaEncodingContext(EncodingContext):
     identical variable numbering, clause order and gate signature — but
     clauses and the gate cache live in flat ``array('q')`` buffers while the
     encode runs (the C emission core operates on the same buffers).  Once
-    :meth:`finalize` has sealed it, the clauses are read out either flat
-    (:meth:`flat_clauses`, what a whole-program compile stores) or as the
-    legacy ``hard`` / ``groups`` lists (what trace formulas hold).  Compiles
-    and concolic traces run on this subclass; the legacy class remains the
-    reference the circuit tests use.
+    :meth:`finalize` has sealed it, :meth:`flat_clauses` reads the clauses
+    out in the flat formula layout that compiled programs and trace
+    formulas both hold.  Compiles and concolic traces run on this subclass;
+    the legacy class remains the reference the circuit tests use.
     """
 
     def __init__(self, width: int = 16) -> None:
@@ -167,7 +165,6 @@ class ArenaEncodingContext(EncodingContext):
         self._group_ids: dict[StatementGroup, int] = {}
         self._finalized = False
         self._flat: Optional[tuple] = None
-        self._list_views: Optional[tuple] = None
         #: Wall-clock seconds per encode phase, filled by the producer
         #: (analysis vs gate emission vs clause materialization).
         self.encode_phases: dict[str, float] = {}
@@ -244,14 +241,6 @@ class ArenaEncodingContext(EncodingContext):
     def num_clauses(self) -> int:
         return self.arena.hdr[_arena.HDR_NCLAUSES]
 
-    @property
-    def hard(self) -> list[list[int]]:
-        return self._lists()[0]
-
-    @property
-    def groups(self) -> dict[StatementGroup, list[list[int]]]:
-        return self._lists()[1]
-
     # ------------------------------------------------------- materialization
 
     def finalize(self) -> None:
@@ -259,44 +248,18 @@ class ArenaEncodingContext(EncodingContext):
         self._finalized = True
 
     def flat_clauses(self) -> tuple:
-        """The clauses in the flat artifact layout, built once.
+        """The clauses in the flat formula layout, built once.
 
-        See :meth:`GateArena.partition`; the compiled artifact stores this
-        tuple as is, so a whole-program compile never builds a Python
-        object per clause.
+        See :meth:`GateArena.partition`; compiled programs and trace
+        formulas store this tuple as is, so no encode builds a Python object
+        per clause.  The read-out is timed as the materialize phase.
         """
-        if self._flat is None:
-            with self._materializing():
-                self._flat = self.arena.partition(self._group_table)
-        return self._flat
-
-    def _lists(self) -> tuple:
-        """The legacy ``(hard, groups)`` clause lists, built once.
-
-        Trace-mode formulas are list based.  The cyclic collector is
-        suspended meanwhile: materialization allocates millions of
-        containers that are all retained, and letting the GC repeatedly
-        scan that growing live set multiplies the cost of this phase
-        several-fold without ever freeing anything.
-        """
-        if self._list_views is None:
-            with self._materializing():
-                was_enabled = gc.isenabled()
-                gc.disable()
-                try:
-                    self._list_views = self.arena.materialize(self._group_table)
-                finally:
-                    if was_enabled:
-                        gc.enable()
-        return self._list_views
-
-    @contextmanager
-    def _materializing(self) -> Iterator[None]:
-        """Time one read-out of the sealed arena as the materialize phase."""
         if not self._finalized:
             raise RuntimeError("arena context read before finalize()")
-        with obs.span("encode.materialize") as timed:
-            yield
-        self.encode_phases["materialize"] = (
-            self.encode_phases.get("materialize", 0.0) + timed.duration
-        )
+        if self._flat is None:
+            with obs.span("encode.materialize") as timed:
+                self._flat = self.arena.partition(self._group_table)
+            self.encode_phases["materialize"] = (
+                self.encode_phases.get("materialize", 0.0) + timed.duration
+            )
+        return self._flat

@@ -7,19 +7,25 @@ Following Section 3.4 of the paper, the trace formula is kept in two parts:
 * clause groups — for every program statement executed by the trace, the
   CNF clauses encoding that statement's transition relation.
 
-:meth:`TraceFormula.to_wcnf` augments every clause of a group with the
-group's fresh selector variable (Equation 2: ``CNF(rho, lambda_rho)``) and
-adds the selector as a soft clause, producing exactly the pMAX-SAT instance
-BugAssist feeds to the solver.
+Both kinds of formula BugAssist builds — the concolic trace of one failing
+execution (:class:`TraceFormula`) and the test-free whole-program encoding
+(:class:`~repro.bmc.compiled.CompiledProgram`) — hold them in one flat
+layout, read by :class:`FlatFormula`.  :meth:`FlatFormula.to_wcnf` augments
+every clause of a group with the group's fresh selector variable
+(Equation 2: ``CNF(rho, lambda_rho)``) and adds the selector as a soft
+clause, producing exactly the pMAX-SAT instance BugAssist feeds to the
+solver.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
-from repro.encoding.context import EncodingContext, StatementGroup
+from repro.encoding.context import StatementGroup
 from repro.maxsat import WCNF
+from repro.sat import flat
 
 
 @dataclass
@@ -33,14 +39,102 @@ class TraceStep:
     description: str = ""
 
 
+class FlatFormula:
+    """Readers of the flat clause layout shared by every formula.
+
+    Subclasses hold the clauses flat (:mod:`repro.sat.flat`): ``lits`` and
+    ``ends`` hold every clause, the first ``hard_clauses`` of them the hard
+    block, then one range per statement group, with ``group_keys`` the
+    groups in sorted order and ``group_ends[k]`` the clause index ending
+    the range of ``group_keys[k]``.  They also carry ``num_vars``,
+    ``signature`` and the executed ``steps``.
+    """
+
+    @property
+    def num_clauses(self) -> int:
+        """Total clause count (hard plus grouped), Table 3's clause#."""
+        return len(self.ends)
+
+    @property
+    def num_assignments(self) -> int:
+        """Number of assignment operations (Table 3's assign#)."""
+        return sum(
+            1 for step in self.steps if step.kind in ("assign", "array-assign", "decl")
+        )
+
+    @property
+    def lines(self) -> set[int]:
+        """Source lines that own a clause group."""
+        return {group.line for group in self.group_keys}
+
+    def group_ranges(self) -> Iterator[tuple[StatementGroup, int, int]]:
+        """``(group, start, stop)`` clause ranges in sorted group order."""
+        start = self.hard_clauses
+        for group, stop in zip(self.group_keys, self.group_ends):
+            yield group, start, stop
+            start = stop
+
+    @property
+    def hard(self) -> list[list[int]]:
+        """The hard block as clause lists (a read-only view per access)."""
+        return flat.clause_lists(self.lits, self.ends, 0, self.hard_clauses)
+
+    @property
+    def groups(self) -> dict[StatementGroup, list[list[int]]]:
+        """Each group's clauses as lists, in sorted group order (a
+        read-only view per access)."""
+        return {
+            group: flat.clause_lists(self.lits, self.ends, start, stop)
+            for group, start, stop in self.group_ranges()
+        }
+
+    def to_wcnf(
+        self,
+        hard_groups: Optional[set[int]] = None,
+        weight_of: Optional[Callable[[StatementGroup], int]] = None,
+    ) -> tuple[WCNF, dict[int, StatementGroup]]:
+        """Build the partial MaxSAT instance.
+
+        The hard block stays hard; then, per sorted group, either a soft
+        group (the clause range plus a fresh selector) or, for source lines
+        in ``hard_groups``, plain hard clauses (the paper does this for
+        library functions that are known to be correct).  ``weight_of``
+        assigns each soft selector its weight (default 1); the
+        loop-debugging extension passes the iteration-based weights of
+        Equation 3.  The instance is made from the flat buffers with array
+        copies.
+
+        Returns the WCNF plus a map from selector variable to group, so that
+        CoMSS members can be mapped back to statements.
+        """
+        wcnf = WCNF.from_clause_buffer(self.lits, self.ends, self.num_vars)
+        wcnf.signature = self.signature or None
+        selector_to_group: dict[int, StatementGroup] = {}
+        for group, start, stop in self.group_ranges():
+            if hard_groups is not None and group.line in hard_groups:
+                continue
+            weight = weight_of(group) if weight_of is not None else 1
+            selector = wcnf.add_soft_range(start, stop, weight=weight, label=group)
+            selector_to_group[selector] = group
+        return wcnf, selector_to_group
+
+
 @dataclass
-class TraceFormula:
-    """The extended trace formula of one failing execution."""
+class TraceFormula(FlatFormula):
+    """The extended trace formula of one failing execution.
+
+    The test-input equalities and the violated specification are part of
+    the hard block; the clauses are laid out as described on
+    :class:`FlatFormula`.
+    """
 
     width: int
     num_vars: int
-    hard: list[list[int]] = field(default_factory=list)
-    groups: dict[StatementGroup, list[list[int]]] = field(default_factory=dict)
+    lits: array = field(default_factory=lambda: array(flat.TYPECODE))
+    ends: array = field(default_factory=lambda: array(flat.TYPECODE))
+    hard_clauses: int = 0
+    group_keys: tuple[StatementGroup, ...] = ()
+    group_ends: array = field(default_factory=lambda: array(flat.TYPECODE))
     steps: list[TraceStep] = field(default_factory=list)
     test_inputs: dict[str, int] = field(default_factory=dict)
     assertion_description: str = ""
@@ -53,79 +147,3 @@ class TraceFormula:
     #: Bits eliminated by analysis-guided range narrowing (0 = narrowing off
     #: or nothing provable).
     narrowed_vars: int = 0
-
-    # ------------------------------------------------------------ statistics
-
-    @property
-    def num_assignments(self) -> int:
-        """Number of assignment operations in the trace (Table 3's assign#)."""
-        return sum(1 for step in self.steps if step.kind in ("assign", "array-assign", "decl"))
-
-    @property
-    def num_clauses(self) -> int:
-        """Total clause count (hard plus grouped), Table 3's clause#."""
-        return len(self.hard) + sum(len(clauses) for clauses in self.groups.values())
-
-    @property
-    def lines(self) -> set[int]:
-        """Source lines that contributed at least one clause group."""
-        return {group.line for group in self.groups}
-
-    @classmethod
-    def from_context(
-        cls,
-        context: EncodingContext,
-        steps: list[TraceStep],
-        test_inputs: dict[str, int],
-        assertion_description: str = "",
-        simplifier: str = "",
-        narrowed_vars: int = 0,
-    ) -> "TraceFormula":
-        return cls(
-            width=context.width,
-            num_vars=context.num_vars,
-            hard=list(context.hard),
-            groups={group: list(clauses) for group, clauses in context.groups.items()},
-            steps=steps,
-            test_inputs=dict(test_inputs),
-            assertion_description=assertion_description,
-            gates_shared=context.gate_hits,
-            simplifier=simplifier,
-            signature=context.gate_signature,
-            narrowed_vars=narrowed_vars,
-        )
-
-    # ------------------------------------------------------------ conversion
-
-    def to_wcnf(
-        self,
-        weight_of: Optional[Callable[[StatementGroup], int]] = None,
-        hard_groups: Optional[set[int]] = None,
-    ) -> tuple[WCNF, dict[int, StatementGroup]]:
-        """Build the partial MaxSAT instance.
-
-        ``weight_of`` assigns a weight to each group's soft selector clause
-        (default 1); the loop-debugging extension passes the iteration-based
-        weights of Equation 3.  ``hard_groups`` is a set of source lines whose
-        clauses must be treated as hard (the paper does this for library
-        functions that are known to be correct).
-
-        Returns the WCNF plus a map from selector variable to group, so that
-        CoMSS members can be mapped back to statements.
-        """
-        wcnf = WCNF()
-        wcnf._num_vars = self.num_vars  # reserve the trace-formula variables
-        wcnf.signature = self.signature or None
-        for clause in self.hard:
-            wcnf.add_hard(clause)
-        selector_to_group: dict[int, StatementGroup] = {}
-        for group in sorted(self.groups):
-            clauses = self.groups[group]
-            if hard_groups is not None and group.line in hard_groups:
-                for clause in clauses:
-                    wcnf.add_hard(clause)
-                continue
-            weight = weight_of(group) if weight_of is not None else 1
-            selector = wcnf.add_soft_group(clauses, weight=weight, label=group)
-            selector_to_group[selector] = group
-        return wcnf, selector_to_group

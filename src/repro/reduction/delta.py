@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Callable, Sequence, TypeVar
 
+from repro import obs
+
 T = TypeVar("T")
 
 
@@ -58,17 +60,20 @@ def minimize_failing_input(
     Unlike plain ddmin (which shortens the list), this keeps the vector
     length but replaces as many positions as possible with ``neutral`` while
     the failure persists — appropriate for programs whose input arity is
-    fixed.  Returns the minimized vector.
+    fixed.  Returns the minimized vector.  Timed as the ``reduction.delta``
+    span, which records how many positions stayed.
     """
     current = list(inputs)
-    if not still_fails(current):
-        raise ValueError("the full input must fail")
-    positions = list(range(len(current)))
-    failing_positions = ddmin(
-        positions,
-        lambda kept: still_fails(
-            [value if index in set(kept) else neutral for index, value in enumerate(current)]
-        ),
-    )
-    kept = set(failing_positions)
+    with obs.span("reduction.delta", inputs=len(current)) as timed:
+        if not still_fails(current):
+            raise ValueError("the full input must fail")
+        positions = list(range(len(current)))
+        failing_positions = ddmin(
+            positions,
+            lambda kept: still_fails(
+                [value if index in set(kept) else neutral for index, value in enumerate(current)]
+            ),
+        )
+        kept = set(failing_positions)
+        timed.set(kept=len(kept))
     return [value if index in kept else neutral for index, value in enumerate(current)]

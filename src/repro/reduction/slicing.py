@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from repro import obs
 from repro.cfg import backward_slice_lines
 from repro.lang import ast
 
@@ -19,16 +20,19 @@ def sliced_tracer_settings(
     backward slice plus the list of functions none of whose statements are in
     the slice — such functions are executed concretely, which removes whole
     irrelevant call trees from the formula (function-level slicing).
+    Timed as the ``reduction.slice`` span.
     """
-    relevant = backward_slice_lines(program, criterion_variables)
-    protected = set(protected_functions) | {"main"}
-    concrete: list[str] = []
-    for name, function in program.functions.items():
-        if name in protected:
-            continue
-        lines = _function_lines(function)
-        if lines and not lines & relevant:
-            concrete.append(name)
+    with obs.span("reduction.slice", program=program.name) as timed:
+        relevant = backward_slice_lines(program, criterion_variables)
+        protected = set(protected_functions) | {"main"}
+        concrete: list[str] = []
+        for name, function in program.functions.items():
+            if name in protected:
+                continue
+            lines = _function_lines(function)
+            if lines and not lines & relevant:
+                concrete.append(name)
+        timed.set(relevant_lines=len(relevant), concrete_functions=len(concrete))
     return {"relevant_lines": relevant, "concrete_functions": tuple(sorted(concrete))}
 
 

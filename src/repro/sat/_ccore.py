@@ -19,10 +19,10 @@ first use.  The library exports its entry points over the same flat
 
 Each implements the same algorithm step for step as its Python fallback,
 so every backend combination produces identical assignments, conflicts,
-cores and statistics.  The CNF emission core (``encode.c``) and the
-clause materializer (``encode_py.c``) are separate tiny libraries built on
-demand through the same cache; both emission backends produce
-bit-identical artifacts.
+cores and statistics.  The CNF emission core (``encode.c``, gate emission
+plus ``repro_enc_partition``, which lays the arena out as flat formula
+buffers) is a separate tiny library built on demand through the same
+cache; both emission backends produce bit-identical formulas.
 
 One environment variable, ``REPRO_BACKEND``, selects the backend of every
 layer (propagation, search, emission):
@@ -58,7 +58,6 @@ from typing import Optional
 
 _SOURCE = Path(__file__).resolve().parent / "search.c"
 _ENCODE_SOURCE = Path(__file__).resolve().parent / "encode.c"
-_ENCODE_PY_SOURCE = Path(__file__).resolve().parent / "encode_py.c"
 
 #: Why the C cores are unavailable (diagnostic; None when the library loaded).
 unavailable_reason: Optional[str] = None
@@ -71,9 +70,6 @@ _attempted = False
 
 _encode_loaded: Optional[ctypes.CDLL] = None
 _encode_attempted = False
-
-_materialize_loaded: Optional[ctypes.CDLL] = None
-_materialize_attempted = False
 
 _MODES = ("auto", "python", "c")
 
@@ -160,11 +156,9 @@ def _build_dir() -> Optional[Path]:
         return None
 
 
-def _compile_source(
-    source_path: Path, prefix: str, extra_flags: tuple[str, ...] = ()
-) -> Path:
+def _compile_source(source_path: Path, prefix: str) -> Path:
     source = source_path.read_bytes()
-    extra = sanitize_flags() + extra_flags
+    extra = sanitize_flags()
     # The sanitizer flags join the digest: a sanitized build lands in its
     # own cache slot and a later plain run never loads it by accident.
     digest = hashlib.sha256(source + b"\x00" + " ".join(extra).encode()).hexdigest()[:16]
@@ -334,51 +328,6 @@ def partition_function():
     """The raw ``repro_enc_partition`` entry point, or ``None``."""
     library = encode_library()
     return None if library is None else library.repro_enc_partition
-
-
-def load_materialize_core() -> Optional[ctypes.CDLL]:
-    """Load the CPython-API materialization core, or ``None``.
-
-    Built from ``encode_py.c`` against the interpreter's own headers and
-    loaded with :class:`ctypes.PyDLL` (the entry point manipulates Python
-    objects under the GIL).  Follows ``REPRO_BACKEND`` but never raises: a
-    missing Python.h only costs speed — the pure-Python
-    :meth:`GateArena.materialize` walk produces the identical object graph.
-    """
-    global _materialize_loaded, _materialize_attempted
-    if _materialize_attempted:
-        return _materialize_loaded
-    _materialize_attempted = True
-    if backend_mode() == "python":
-        return None
-    try:
-        import sysconfig
-
-        include = sysconfig.get_paths()["include"]
-        if not (Path(include) / "Python.h").exists():
-            return None
-        library = ctypes.PyDLL(
-            str(_compile_source(_ENCODE_PY_SOURCE, "encodepy", (f"-I{include}",)))
-        )
-        materialize = library.repro_materialize
-        materialize.restype = ctypes.py_object
-        materialize.argtypes = [
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_longlong,
-            ctypes.c_longlong,
-        ]
-        _materialize_loaded = library
-    except Exception:  # compiler or headers missing — fall back silently
-        _materialize_loaded = None
-    return _materialize_loaded
-
-
-def materialize_function():
-    """The raw ``repro_materialize`` entry point, or ``None``."""
-    library = load_materialize_core()
-    return None if library is None else library.repro_materialize
 
 
 def propagate_function():

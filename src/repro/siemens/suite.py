@@ -207,12 +207,19 @@ class LargeBenchmarkResult:
     maxsat_calls: int = 0
     sat_calls: int = 0
     detected: bool = False
+    #: Wall time of the localization pipeline only: delta debugging,
+    #: slicing, the reduced trace and the CoMSS localization.
     time_seconds: float = 0.0
-    #: Solver propagations per wall-clock second over the whole row — the
-    #: throughput the C-accelerated core (or the pure-Python fallback) hit.
+    #: Wall time of the row's instrumentation runs, which are not part of
+    #: the pipeline: the cold and the planned whole-program compiles, the
+    #: full (unreduced) trace and the unnarrowed reduced trace.
+    instrumentation_seconds: float = 0.0
+    #: Solver propagations per second of the localization's own time (the
+    #: report's ``time_seconds``) — the throughput the C-accelerated core
+    #: (or the pure-Python fallback) hit.
     propagations_per_second: float = 0.0
-    #: Solver conflicts analyzed per wall-clock second over the whole row —
-    #: the search-kernel (conflict analysis + backjump + VSIDS) throughput.
+    #: Solver conflicts analyzed per second of the localization's own time
+    #: — the search-kernel (conflict analysis + backjump + VSIDS) throughput.
     conflicts_per_second: float = 0.0
     #: Gate-cache hits while encoding the reduced trace (structure sharing).
     gates_shared: int = 0
@@ -243,7 +250,10 @@ def run_large_benchmark(benchmark, max_candidates: int = 8) -> LargeBenchmarkRes
 
     The failing test's trace formula is built twice — without and with the
     benchmark's designated trace-reduction techniques — and BugAssist then
-    localizes on the reduced formula.  Each run opens one trace
+    localizes on the reduced formula.  ``time_seconds`` times the pipeline
+    alone; the runs that only measure (whole-program compiles, the full and
+    the unnarrowed traces) are ``bench.instrumentation`` spans, summed into
+    ``instrumentation_seconds``.  Each run opens one trace
     (``bench.<name>``), so ``REPRO_TRACE=export`` yields a per-row Chrome
     trace; the cold encode time is a span duration.
     """
@@ -276,35 +286,37 @@ def _run_large_benchmark(benchmark, max_candidates: int) -> LargeBenchmarkResult
     # state rather than encoder throughput.
     from repro.bmc import BoundedModelChecker
 
-    with obs.span("bench.encode_cold") as cold_span:
-        cold_compiled = BoundedModelChecker(
-            faulty, group_statements=True
+    with obs.span("bench.instrumentation", run="compiles") as compiles_span:
+        with obs.span("bench.encode_cold") as cold_span:
+            cold_compiled = BoundedModelChecker(
+                faulty, group_statements=True
+            ).compile_program()
+        result.encode_time_cold = cold_span.duration
+        cold_profile = cold_compiled.encode_profile()
+        result.encode_backend = cold_profile.get("encode_backend", "")
+        result.encode_phases = {
+            phase: round(seconds, 4)
+            for phase, seconds in cold_profile.get("encode_phases", {}).items()
+        }
+        # Per-loop unwind planning on the same whole-program encode: the
+        # clause gap is what proven loop bounds bought on this row.
+        planned_compiled = BoundedModelChecker(
+            faulty, group_statements=True, unwind_planning=True
         ).compile_program()
-    result.encode_time_cold = cold_span.duration
-    cold_profile = cold_compiled.encode_profile()
-    result.encode_backend = cold_profile.get("encode_backend", "")
-    result.encode_phases = {
-        phase: round(seconds, 4)
-        for phase, seconds in cold_profile.get("encode_phases", {}).items()
-    }
-    # Per-loop unwind planning on the same whole-program encode: the clause
-    # gap is what proven loop bounds bought on this row.
-    planned_compiled = BoundedModelChecker(
-        faulty, group_statements=True, unwind_planning=True
-    ).compile_program()
-    result.unwind_pruned_clauses = (
-        cold_compiled.num_clauses - planned_compiled.num_clauses
-    )
-    result.planned_loops = planned_compiled.planned_loops
-    del planned_compiled, cold_compiled
-    gc.collect()
+        result.unwind_pruned_clauses = (
+            cold_compiled.num_clauses - planned_compiled.num_clauses
+        )
+        result.planned_loops = planned_compiled.planned_loops
+        del planned_compiled, cold_compiled
+        gc.collect()
 
     # Delta debugging (D): minimize the failure-inducing input first.
     if "D" in benchmark.reduction:
         test = minimize_failing_input(test, benchmark.fails)
         spec = benchmark.specification(tuple(test))
 
-    full = ConcolicTracer(faulty).trace(test, spec)
+    with obs.span("bench.instrumentation", run="full_trace") as full_span:
+        full = ConcolicTracer(faulty).trace(test, spec)
     result.assignments_before = full.num_assignments
     result.variables_before = full.num_vars
     result.clauses_before = full.num_clauses
@@ -327,12 +339,13 @@ def _run_large_benchmark(benchmark, max_candidates: int) -> LargeBenchmarkResult
 
     # Same reduced trace without analysis narrowing: the clause-count gap is
     # what the interval analysis bought on this row.
-    unnarrowed = ConcolicTracer(
-        faulty,
-        relevant_lines=settings.get("relevant_lines"),
-        concrete_functions=concrete,
-        analysis_narrowing=False,
-    ).trace(test, spec)
+    with obs.span("bench.instrumentation", run="unnarrowed_trace") as unnarrowed_span:
+        unnarrowed = ConcolicTracer(
+            faulty,
+            relevant_lines=settings.get("relevant_lines"),
+            concrete_functions=concrete,
+            analysis_narrowing=False,
+        ).trace(test, spec)
     result.clauses_pruned = unnarrowed.num_clauses - reduced.num_clauses
 
     localizer = BugAssistLocalizer(faulty, mode="trace", max_candidates=max_candidates)
@@ -341,10 +354,13 @@ def _run_large_benchmark(benchmark, max_candidates: int) -> LargeBenchmarkResult
     result.maxsat_calls = report.maxsat_calls
     result.sat_calls = report.sat_calls
     result.detected = any(line in benchmark.fault_lines for line in report.lines)
-    result.time_seconds = time.perf_counter() - started
+    result.instrumentation_seconds = (
+        compiles_span.duration + full_span.duration + unnarrowed_span.duration
+    )
+    result.time_seconds = time.perf_counter() - started - result.instrumentation_seconds
     result.gates_shared = reduced.gates_shared
     result.simplifier = reduced.simplifier
-    if result.time_seconds > 0:
-        result.propagations_per_second = report.propagations / result.time_seconds
-        result.conflicts_per_second = report.conflicts / result.time_seconds
+    if report.time_seconds > 0:
+        result.propagations_per_second = report.propagations / report.time_seconds
+        result.conflicts_per_second = report.conflicts / report.time_seconds
     return result

@@ -317,7 +317,7 @@ class TestCompiledProgramIntegration:
     @pytest.mark.parametrize("narrowing", [True, False])
     def test_bmc_localization_identical_with_and_without_narrowing(self, narrowing):
         """The narrowed program-mode encoding blames the same lines."""
-        from repro.core.localizer import BugAssistLocalizer
+        from repro.core.session import LocalizationSession
         from repro.spec import Specification
 
         source = (
@@ -330,16 +330,8 @@ class TestCompiledProgramIntegration:
             "}\n"
         )
         program = parse_program(source, name="bmc-diff")
-        localizer = BugAssistLocalizer(program, mode="program")
-        localizer_checker_kwargs = {"analysis_narrowing": narrowing}
-        from repro.bmc import BoundedModelChecker
-
-        checker = BoundedModelChecker(
-            program, width=localizer.width, unwind=localizer.unwind,
-            group_statements=True, **localizer_checker_kwargs,
-        )
-        formula = checker.encode_program_formula([4], Specification.return_value(12))
-        report = localizer.localize_trace(formula)
+        with LocalizationSession(program, analysis_narrowing=narrowing) as session:
+            report = session.localize([4], Specification.return_value(12))
         # in=4 → shifted = 11, expected 12: either arithmetic line or the
         # return itself can be blamed, identically in both modes.
         assert set(report.lines) == {4, 5, 6}

@@ -6,7 +6,7 @@ import pytest
 
 from repro.concolic import ConcolicTracer, TraceError
 from repro.lang import Interpreter, parse_program
-from repro.maxsat import solve_maxsat
+from repro.maxsat import WCNF, solve_maxsat
 from repro.sat import Solver
 from repro.spec import Specification
 
@@ -218,3 +218,85 @@ class TestTraceConstruction:
         wcnf, _ = formula.to_wcnf()
         outcome = solve_maxsat(wcnf)
         assert outcome.satisfiable and outcome.falsified
+
+
+# ------------------------------------------------ flat formula equivalence
+
+
+def _list_oracle(formula, hard_groups=None, weight_of=None):
+    """The partial MaxSAT instance built clause by clause from the list
+    views: hard block, then per sorted group a soft group or hard clauses."""
+    wcnf = WCNF()
+    wcnf._num_vars = formula.num_vars
+    for clause in formula.hard:
+        wcnf.add_hard(clause)
+    selector_to_group = {}
+    for group, clauses in sorted(formula.groups.items()):
+        if hard_groups is not None and group.line in hard_groups:
+            for clause in clauses:
+                wcnf.add_hard(clause)
+            continue
+        weight = weight_of(group) if weight_of is not None else 1
+        selector = wcnf.add_soft_group(clauses, weight=weight, label=group)
+        selector_to_group[selector] = group
+    return wcnf, selector_to_group
+
+
+def _equivalence_cases():
+    from repro.siemens.loop_corpus import SCALE_SUM
+    from repro.siemens.programs import LARGE_BENCHMARKS
+
+    yield pytest.param(
+        lambda: ConcolicTracer(parse_program(MOTIVATING)).trace(
+            [1], Specification.assertion()
+        ),
+        id="motivating",
+    )
+    yield pytest.param(
+        lambda: ConcolicTracer(SCALE_SUM.program(), loop_iteration_groups=True).trace(
+            list(SCALE_SUM.failing_test), SCALE_SUM.specification()
+        ),
+        id=SCALE_SUM.name,
+    )
+    for case in LARGE_BENCHMARKS:
+        marks = [pytest.mark.slow] if case.name in ("tot_info", "print_tokens") else []
+        yield pytest.param(
+            lambda case=case: ConcolicTracer(case.faulty_program()).trace(
+                list(case.failing_test), case.specification()
+            ),
+            id=case.name,
+            marks=marks,
+        )
+
+
+@pytest.mark.parametrize("make_formula", list(_equivalence_cases()))
+def test_flat_trace_formula_matches_list_oracle(make_formula):
+    """``TraceFormula.to_wcnf`` builds exactly the instance the clause lists
+    give, with all groups soft, with some lines hard, and under Eq. 3."""
+    formula = make_formula()
+    assert formula.num_clauses == len(formula.hard) + sum(
+        len(clauses) for clauses in formula.groups.values()
+    )
+    eta = max(
+        (group.iteration for group in formula.group_keys if group.iteration is not None),
+        default=0,
+    )
+
+    def weight_of(group):
+        return 1 if group.iteration is None else 2 + eta - group.iteration
+
+    lines = sorted(formula.lines)
+    for hard_groups, weights in (
+        (None, None),
+        (set(lines[::2]), None),
+        (None, weight_of),
+    ):
+        flat_wcnf, flat_map = formula.to_wcnf(hard_groups=hard_groups, weight_of=weights)
+        list_wcnf, list_map = _list_oracle(formula, hard_groups, weights)
+        assert flat_wcnf.lits == list_wcnf.lits
+        assert flat_wcnf.ends == list_wcnf.ends
+        assert flat_wcnf.range_ends == list_wcnf.range_ends
+        assert flat_wcnf.range_sels == list_wcnf.range_sels
+        assert flat_wcnf.soft == list_wcnf.soft
+        assert flat_wcnf.num_vars == list_wcnf.num_vars
+        assert flat_map == list_map

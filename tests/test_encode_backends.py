@@ -9,8 +9,8 @@ matrix over the five scalar gates, and seeded bit-vector kernel chains
 (add / multiply / equals / unsigned_less / mux), and require exact equality.
 
 The Python arm of each pair is produced in-process by pinning
-``_ccore.encode_library`` / ``_ccore.materialize_function`` to ``None`` —
-exactly the state a ``REPRO_BACKEND=python`` process runs in — so a single
+``_ccore.encode_library`` to ``None`` — exactly the state a
+``REPRO_BACKEND=python`` process runs in — so a single
 process compares the two emitters over the same interned objects.  Separate
 subprocess tests cover the environment knob itself (both pins, and
 cross-process artifact identity under ``PYTHONHASHSEED=0``).
@@ -42,7 +42,7 @@ from repro.encoding.arena import (
     HDR_NCLAUSES,
 )
 from repro.encoding.context import ArenaEncodingContext
-from repro.sat import _ccore
+from repro.sat import _ccore, flat
 from repro.siemens import tcas_faulty_program
 from repro.siemens.programs import LARGE_BENCHMARKS
 
@@ -66,13 +66,12 @@ TABLE3_CASES = [
 @contextlib.contextmanager
 def python_pinned():
     """Run the body exactly as a ``REPRO_BACKEND=python`` process would."""
-    saved = (_ccore.encode_library, _ccore.materialize_function)
+    saved = _ccore.encode_library
     _ccore.encode_library = lambda: None
-    _ccore.materialize_function = lambda: None
     try:
         yield
     finally:
-        _ccore.encode_library, _ccore.materialize_function = saved
+        _ccore.encode_library = saved
 
 
 def compile_cold(program):
@@ -149,7 +148,7 @@ def _context_summary(context: ArenaEncodingContext) -> tuple:
         context.num_clauses,
         context.gates_emitted,
         context.gate_hits,
-        context.hard,
+        context.flat_clauses(),
     )
 
 
@@ -328,11 +327,15 @@ class TestArenaHousekeeping:
             expected[gid].append(clause)
             arena.emit(clause, gid)
         assert arena.hdr[HDR_NCLAUSES] == 6000
-        hard, groups = arena.materialize(list(range(5)))
-        # Each partition keeps its clauses in emission order.
-        assert hard == expected[-1]
-        for gid in range(5):
-            assert groups[gid] == expected[gid]
+        lits, ends, hard, groups, group_ends = arena.partition(list(range(5)))
+        # The hard block, then each group's block, in emission order.
+        assert groups == tuple(range(5))
+        assert hard == len(expected[-1])
+        blocks = [(0, hard)] + [
+            (group_ends[gid - 1] if gid else hard, group_ends[gid]) for gid in range(5)
+        ]
+        for gid, (start, stop) in zip(range(-1, 5), blocks):
+            assert flat.clause_lists(lits, ends, start, stop) == expected[gid]
 
     def test_gate_table_rehash_preserves_lookups(self):
         arena = GateArena()

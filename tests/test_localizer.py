@@ -11,7 +11,6 @@ import pytest
 from repro.bmc import BoundedModelChecker
 from repro.core import (
     BugAssistLocalizer,
-    BugAssistPipeline,
     LocalizationSession,
     LoopIterationLocalizer,
     OffByOneRepairer,
@@ -145,10 +144,19 @@ class TestMotivatingExample:
         assert not report.contains_line(6)
         assert report.contains_line(3)
 
+    def test_trace_formula_is_trace_mode_only(self, motivating_program):
+        with pytest.raises(ValueError):
+            BugAssistLocalizer(motivating_program).build_trace_formula(
+                [1], Specification.assertion()
+            )
+        formula = BugAssistLocalizer(
+            motivating_program, mode="trace"
+        ).build_trace_formula([1], Specification.assertion())
+        assert formula.num_clauses > 0
+
     def test_session_localizes_from_bmc_counterexample(self, motivating_program):
         # No failing test given: the bounded model checker finds one, and
-        # the session localizes it (the modern form of the old
-        # ``BugAssistPipeline.localize()`` no-test flow).
+        # the session localizes it.
         counterexample = BoundedModelChecker(
             motivating_program, unwind=16
         ).find_counterexample()
@@ -159,15 +167,6 @@ class TestMotivatingExample:
                 Specification.assertion(),
                 nondet_values=counterexample.nondet_values,
             )
-        assert report.contains_line(6) or report.contains_line(3)
-
-    def test_pipeline_shim_is_deprecated_but_functional(self, motivating_program):
-        # The shim's DeprecationWarning is pinned here — and only here — so
-        # the compatibility surface stays covered without leaking warnings
-        # into the rest of the run.
-        with pytest.warns(DeprecationWarning, match="BugAssistPipeline is deprecated"):
-            pipeline = BugAssistPipeline(motivating_program)
-        report = pipeline.localize()  # no failing test given: BMC finds one
         assert report.contains_line(6) or report.contains_line(3)
 
 

@@ -419,6 +419,73 @@ class TestSessionTracing:
         assert ranked.ranked_lines
 
 
+# -------------------------------------------------- trace-mode integration
+
+
+def _localizations() -> float:
+    return obs.REGISTRY.counter(
+        "repro_localizations", "Localization requests completed"
+    ).value
+
+
+class TestTraceModeTracing:
+    """The trace-mode Table 3 pipeline emits one trace over every layer."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["schedule2", pytest.param("schedule", marks=pytest.mark.slow)],
+    )
+    def test_table3_row_is_one_trace(self, name, monkeypatch, tmp_path):
+        from repro.siemens.programs import LARGE_BENCHMARKS
+        from repro.siemens.suite import run_large_benchmark
+
+        case = next(b for b in LARGE_BENCHMARKS if b.name == name)
+        monkeypatch.setenv("REPRO_TRACE", "export")
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
+        before = _localizations()
+        run_large_benchmark(case, max_candidates=1)
+        assert _localizations() == before + 1
+        records = (tmp_path / "traces.jsonl").read_text().strip().splitlines()
+        assert len(records) == 1
+        trace_id = json.loads(records[0])["trace_id"]
+        document = json.loads((tmp_path / f"{trace_id}.trace.json").read_text())
+        assert obs.validate_chrome_trace(document) == []
+        events = document["traceEvents"]
+        assert {event["args"]["trace_id"] for event in events} == {trace_id}
+        names = [event["name"] for event in events]
+        expected = {
+            f"bench.{name}",
+            "bench.instrumentation",
+            "concolic.trace",
+            "session.localize_trace",
+            "maxsat.engine_load",
+            "solve.comss",
+        }
+        if "S" in case.reduction:
+            expected.add("reduction.slice")
+        if "D" in case.reduction:
+            expected.add("reduction.delta")
+        assert expected <= set(names)
+        # Full, reduced and unnarrowed traces, with their formula sizes.
+        traces = [event for event in events if event["name"] == "concolic.trace"]
+        assert len(traces) == 3
+        for event in traces:
+            assert event["args"]["clauses"] > 0 and event["args"]["vars"] > 0
+            assert "assignments" in event["args"]
+        comss = next(event for event in events if event["name"] == "solve.comss")
+        assert comss["args"]["sat_calls"] > 0
+
+    def test_delta_debugging_span(self, monkeypatch):
+        from repro.reduction import minimize_failing_input
+
+        monkeypatch.setenv("REPRO_TRACE", "on")
+        with obs.trace("reduce") as handle:
+            kept = minimize_failing_input([3, 0, 7, 5], lambda test: test[2] == 7)
+        assert kept == [0, 0, 7, 0]
+        spans = {s["name"]: s for s in handle.spans()}
+        assert spans["reduction.delta"]["attrs"] == {"inputs": 4, "kept": 1}
+
+
 # --------------------------------------------------------- serve integration
 
 

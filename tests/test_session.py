@@ -1,5 +1,5 @@
 """Tests for the session API: solver/engine push-pop layers and
-compile-once/localize-many equivalence with the per-test baseline."""
+compile-once/localize-many equivalence with a per-test reference."""
 
 from __future__ import annotations
 
@@ -11,12 +11,14 @@ from repro.bmc import BoundedModelChecker
 from repro.core import (
     BatchLocalizationError,
     BugAssistLocalizer,
-    BugAssistPipeline,
+    LocalizationReport,
     LocalizationSession,
     ShardLocalizationError,
     Specification,
+    merge_reports,
     rank_locations,
 )
+from repro.core.session import run_comss_loop
 from repro.lang import Interpreter, parse_program
 from repro.maxsat import WCNF, make_engine
 from repro.sat import Solver
@@ -222,6 +224,33 @@ class TestEngineLayers:
 # ------------------------------------------------------------------- sessions
 
 
+def one_shot_oracle(compiled, inputs, spec, hard_lines=(), strategy="hitting-set",
+                    max_candidates=25):
+    """Algorithm 1 for one failing test the one-shot way: a fresh MaxSAT
+    instance with the test's units as plain hard clauses and a fresh engine
+    — no push/pop layer, no warm-start phases, no static pruning.  The
+    reference the session (and the localizer on top of it) is checked
+    against."""
+    wcnf, _ = compiled.to_wcnf(hard_groups=set(hard_lines) or None)
+    clauses, test_inputs = compiled.test_clauses(inputs, spec)
+    for clause in clauses:
+        wcnf.add_hard(clause)
+    engine = make_engine(strategy)
+    engine.load(wcnf)
+    report = LocalizationReport(
+        program_name=compiled.program_name,
+        test_inputs=test_inputs,
+        specification=spec.describe(),
+    )
+    run_comss_loop(engine, report, max_candidates)
+    return report
+
+
+def oracle_compile(program):
+    """A compile of its own for the oracle, independent of any session."""
+    return BoundedModelChecker(program, group_statements=True).compile_program()
+
+
 @pytest.fixture(scope="module")
 def motivating_program():
     return parse_program(MOTIVATING, name="motivating")
@@ -229,29 +258,42 @@ def motivating_program():
 
 class TestLocalizationSession:
     def test_compiles_once_and_matches_per_test_localizer(self, motivating_program):
+        spec = Specification.assertion()
+        oracle = one_shot_oracle(oracle_compile(motivating_program), [1], spec)
         localizer = BugAssistLocalizer(motivating_program)
-        baseline = localizer.localize_test([1], Specification.assertion())
+        wrapped = localizer.localize_test([1], spec)
         with LocalizationSession(motivating_program) as session:
-            first = session.localize([1], Specification.assertion())
-            second = session.localize([1], Specification.assertion())
+            first = session.localize([1], spec)
+            second = session.localize([1], spec)
         assert session.stats.encodings_built == 1
         assert session.stats.tests_localized == 2
-        assert set(first.lines) == set(second.lines) == set(baseline.lines)
-        assert [c.lines for c in first.candidates] == [
-            c.lines for c in baseline.candidates
-        ]
+        assert oracle.candidates
+        assert (
+            set(first.lines) == set(second.lines) == set(wrapped.lines)
+            == set(oracle.lines)
+        )
+        for report in (first, second, wrapped):
+            assert [c.lines for c in report.candidates] == [
+                c.lines for c in oracle.candidates
+            ]
 
     def test_session_vs_pipeline_equivalence_on_batch(self):
         program, failing = classify_failing_tests()
-        pipeline_baseline = rank_locations(
+        compiled = oracle_compile(program)
+        oracle = merge_reports(
+            "classify",
+            (one_shot_oracle(compiled, inputs, spec) for inputs, spec in failing),
+        )
+        wrapped = rank_locations(
             BugAssistLocalizer(program), failing, program_name="classify"
         )
         with LocalizationSession(program) as session:
             ranked = session.localize_batch(failing, program_name="classify")
-        assert ranked.ranked_lines == pipeline_baseline.ranked_lines
-        assert len(ranked.runs) == len(pipeline_baseline.runs)
-        for mine, theirs in zip(ranked.runs, pipeline_baseline.runs):
-            assert set(mine.lines) == set(theirs.lines)
+        for result in (ranked, wrapped):
+            assert result.ranked_lines == oracle.ranked_lines
+            assert len(result.runs) == len(oracle.runs)
+            for mine, theirs in zip(result.runs, oracle.runs):
+                assert set(mine.lines) == set(theirs.lines)
 
     def test_process_executor_matches_serial(self):
         program, failing = classify_failing_tests()
@@ -388,20 +430,6 @@ class TestSessionPinning:
         with pytest.raises(RuntimeError):
             session.localize([1], Specification.assertion())
 
-    def test_pipeline_shim_delegates_to_session(self, motivating_program):
-        with pytest.warns(DeprecationWarning):
-            pipeline = BugAssistPipeline(motivating_program)
-        report = pipeline.localize([1])
-        assert report.contains_line(6)
-        assert pipeline.session.stats.encodings_built == 1
-        program, failing = classify_failing_tests()
-        with pytest.warns(DeprecationWarning):
-            pipeline = BugAssistPipeline(program)
-        ranked = pipeline.localize_many(failing)
-        assert len(ranked.runs) == len(failing)
-        # The whole batch reused one compiled encoding.
-        assert pipeline.session.stats.encodings_built == 1
-
 
 @pytest.mark.slow
 class TestSessionOnTcas:
@@ -412,6 +440,7 @@ class TestSessionOnTcas:
         failing, _ = classify_tcas_tests("v2", count=300)
         selected = failing[:3]
         program = tcas_faulty_program("v2")
+        compiled = oracle_compile(program)
         localizer = BugAssistLocalizer(
             program, mode="program", hard_lines=TCAS_HARNESS_LINES
         )
@@ -420,7 +449,11 @@ class TestSessionOnTcas:
         ) as session:
             for vector, expected in selected:
                 spec = Specification.return_value(expected)
+                oracle = one_shot_oracle(
+                    compiled, vector.as_list(), spec, hard_lines=TCAS_HARNESS_LINES
+                )
                 mine = session.localize(vector.as_list(), spec)
-                theirs = localizer.localize_test(vector.as_list(), spec)
-                assert set(mine.lines) == set(theirs.lines)
+                wrapped = localizer.localize_test(vector.as_list(), spec)
+                assert oracle.candidates
+                assert set(mine.lines) == set(wrapped.lines) == set(oracle.lines)
         assert session.stats.encodings_built == 1
