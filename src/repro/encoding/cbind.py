@@ -9,7 +9,8 @@ buffer's length changed — ``array`` reallocation only happens on resize, so
 the (cheap) length tuple is a sound cache key for the pointer tuple.
 
 Granularity: the bit-vector operations (add / multiply / equals /
-unsigned-less / mux) cross into C once per *vector*, the residual scalar
+unsigned-less / mux / or-reduction / assert-equal) cross into C once per
+*vector*, an array read (select) once per *array*, the residual scalar
 gate calls once per gate.  Both directions interleave freely with the
 pure-Python arena routines because all state lives in the shared buffers.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import ctypes
 from array import array
+from itertools import chain
 from typing import Optional, Sequence
 
 from repro.encoding.arena import GateArena
@@ -26,6 +28,13 @@ from repro.encoding.arena import GateArena
 #: gate is XOR3 (8 clauses, 32 literals).
 _CLAUSES_PER_GATE = 8
 _LITS_PER_GATE = 32
+
+#: Exact (clauses, literals) of one gate definition, which the select /
+#: or-many kernels reserve per gate so their reservations never grow the
+#: arena past what the Python composition would.  An ITE that folds
+#: becomes an AND/OR (3, 7) or an XOR (4, 12), never more than (4, 12).
+_AND_COST = (3, 7)
+_ITE_COST = (4, 12)
 
 #: The multiplier kernel keeps its accumulator rows in fixed C-local
 #: arrays; wider vectors fall back to the Python composition.
@@ -47,6 +56,9 @@ class CEncoder:
         self._equals = library.repro_enc_equals
         self._uless = library.repro_enc_uless
         self._mux = library.repro_enc_mux
+        self._select = library.repro_enc_select
+        self._assert_equal = library.repro_enc_assert_equal
+        self._or_many = library.repro_enc_or_many
         self._key: Optional[tuple[int, int, int]] = None
         self._ptrs: tuple = ()
         rehash = library.repro_enc_rehash
@@ -123,3 +135,45 @@ class CEncoder:
         vout = array("q", bytes(8 * n))
         self._mux(*self._pointers(), cond, _addr(va), _addr(vb), _addr(vout), n)
         return tuple(vout)
+
+    def select(
+        self, index: Sequence[int], cells: Sequence[Sequence[int]]
+    ) -> tuple[int, ...]:
+        """``cells[index]`` over ``len(index)``-bit cells (zero out of range).
+
+        The index is compared against constants, so its equality XORs all
+        fold: per cell at most one AND per bit (the equality chain) and one
+        ITE per bit (the mux).
+        """
+        n, count = len(index), len(cells)
+        per_cell = n * count
+        arena = self.arena
+        arena.ensure_gates(2 * per_cell)
+        arena.ensure_clauses(
+            per_cell * (_AND_COST[0] + _ITE_COST[0]),
+            per_cell * (_AND_COST[1] + _ITE_COST[1]),
+        )
+        vi = array("q", index)
+        vc = array("q", chain.from_iterable(cells))
+        vout = array("q", bytes(8 * n))
+        self._select(
+            *self._pointers(), _addr(vi), _addr(vc), count, _addr(vout), n
+        )
+        return tuple(vout)
+
+    def assert_equal(
+        self, target: Sequence[int], source: Sequence[int], n: int, gid: int
+    ) -> None:
+        """The first ``n`` bit bindings, owned by group ``gid`` (-1 = hard)."""
+        # Two binary clauses per bit at most; no gates.
+        self.arena.ensure_clauses(2 * n, 4 * n)
+        vt, vs = array("q", target), array("q", source)
+        self._assert_equal(*self._pointers(), _addr(vt), _addr(vs), n, gid)
+
+    def or_many(self, lits: Sequence[int]) -> int:
+        n = len(lits)
+        arena = self.arena
+        arena.ensure_gates(n)
+        arena.ensure_clauses(n * _AND_COST[0], n * _AND_COST[1])
+        va = array("q", lits)
+        return self._or_many(*self._pointers(), _addr(va), n)

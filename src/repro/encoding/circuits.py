@@ -216,6 +216,10 @@ class CircuitBuilder:
         return result
 
     def bit_or_many(self, lits: Sequence[int]) -> int:
+        cenc = self._cenc
+        if cenc is not None and lits:
+            self.context.true_lit
+            return cenc.or_many(lits)
         result = self.false
         for lit in lits:
             result = self.bit_or(result, lit)
@@ -663,7 +667,7 @@ class CircuitBuilder:
         return -self.signed_less(b, a)
 
     def is_nonzero(self, a: Bits) -> int:
-        return self.bit_or_many(list(a))
+        return self.bit_or_many(a)
 
     # ------------------------------------------------------------- structure
 
@@ -677,8 +681,41 @@ class CircuitBuilder:
             for then_bit, else_bit in zip(then_bits, else_bits)
         )
 
+    def select(self, index: Bits, cells: Sequence[Bits]) -> Bits:
+        """The array read ``cells[index]``, zero when out of range.
+
+        A constant index picks its cell outright; otherwise one equality
+        against each position's constant drives a mux per cell, folded in
+        order from ``const(0)``.
+        """
+        constant_index = self.constant_of(index)
+        if constant_index is not None:
+            if 0 <= constant_index < len(cells):
+                return cells[constant_index]
+            return self.const(0)
+        cenc = self._cenc
+        n = len(index)
+        if (
+            cenc is not None
+            and 0 < n == self.width <= _MAX_VECTOR_BITS
+            and all(len(cell) == n for cell in cells)
+        ):
+            return cenc.select(index, cells)
+        result = self.const(0)
+        for position, cell in enumerate(cells):
+            is_here = self.equals(index, self.const(position))
+            result = self.mux(is_here, cell, result)
+        return result
+
     def assert_equal(self, target: Bits, source: Bits) -> None:
         """Emit clauses forcing ``target == source`` (in the active group)."""
+        cenc = self._cenc
+        if cenc is not None:
+            n = min(len(target), len(source))
+            if n:
+                self.context.true_lit
+                cenc.assert_equal(target, source, n, self.context.active_gid())
+            return
         for target_bit, source_bit in zip(target, source):
             value = self._const_value(source_bit)
             target_value = self._const_value(target_bit)

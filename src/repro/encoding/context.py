@@ -195,9 +195,13 @@ class ArenaEncodingContext(EncodingContext):
 
     # -------------------------------------------------------------- clauses
 
-    def emit(self, clause: list[int]) -> None:
+    def active_gid(self) -> int:
+        """Group id owning :meth:`emit`'s clauses (-1 = the hard set)."""
         group = self._current
-        self.arena.emit(clause, -1 if group is None else self.group_id(group))
+        return -1 if group is None else self.group_id(group)
+
+    def emit(self, clause: list[int]) -> None:
+        self.arena.emit(clause, self.active_gid())
 
     def emit_hard(self, clause: list[int]) -> None:
         self.arena.emit(clause, -1)

@@ -127,19 +127,9 @@ class ExpressionEncoder:
     # ------------------------------------------------------------- internals
 
     def _encode_array_read(self, expr: ast.ArrayRef) -> Bits:
-        builder = self.builder
         index_bits = self.encode(expr.index)
         cells = self.resolver.read_array(expr.name, expr.line)
-        constant_index = builder.constant_of(index_bits)
-        if constant_index is not None:
-            if 0 <= constant_index < len(cells):
-                return cells[constant_index]
-            return builder.const(0)
-        result = builder.const(0)
-        for position, cell in enumerate(cells):
-            is_here = builder.equals(index_bits, builder.const(position))
-            result = builder.mux(is_here, cell, result)
-        return result
+        return self.builder.select(index_bits, cells)
 
     def _encode_unary(self, expr: ast.UnaryOp) -> Bits:
         builder = self.builder

@@ -286,6 +286,15 @@ def encode_library() -> Optional[ctypes.CDLL]:
         mux = library.repro_enc_mux
         mux.restype = None
         mux.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_longlong] + [ctypes.c_void_p] * 3 + [ctypes.c_longlong]
+        select = library.repro_enc_select
+        select.restype = None
+        select.argtypes = [ctypes.c_void_p] * 7 + [ctypes.c_longlong, ctypes.c_void_p, ctypes.c_longlong]
+        assert_equal = library.repro_enc_assert_equal
+        assert_equal.restype = None
+        assert_equal.argtypes = [ctypes.c_void_p] * 7 + [ctypes.c_longlong] * 2
+        or_many = library.repro_enc_or_many
+        or_many.restype = ctypes.c_longlong
+        or_many.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_longlong]
         rehash = library.repro_enc_rehash
         rehash.restype = None
         rehash.argtypes = [

@@ -19,13 +19,18 @@
  *   repro_enc_equals   MSB-first equality AND chain.
  *   repro_enc_uless    unsigned less-than mux chain.
  *   repro_enc_mux      per-bit if-then-else.
+ *   repro_enc_select   array read: one equals + mux per cell, from zero.
+ *   repro_enc_assert_equal   the target == source binding clauses, owned
+ *                      by the given group (-1 = hard), with constant folds.
+ *   repro_enc_or_many  OR-reduction chain (is_nonzero).
  *   repro_enc_partition   the clause store in the flat int32 artifact
  *                      layout (hard block, then one block per group).
  *
  * Capacity contract: the Python caller reserves worst-case room (gates,
  * clauses, literals, gate-table load factor < 1/2) before
- * every call; the kernels never grow a buffer.  Vector lengths are capped
- * at 64 bits by the caller.
+ * every call; the kernels never grow a buffer.  Vector lengths of the
+ * kernels with fixed-size locals (mul, select) are capped at 64 bits by
+ * the caller.
  */
 
 #include <stdint.h>
@@ -74,16 +79,21 @@ static i64 new_var(Enc *e) {
     return h[H_NUM_VARS];
 }
 
-/* One gate-definition clause (always hard, group id -1). */
-static void put_clause(Enc *e, const i64 *clause, int n) {
+/* One clause owned by group `gid` (-1 = hard). */
+static void put_owned(Enc *e, const i64 *clause, int n, i64 gid) {
     i64 *h = e->hdr;
     i64 nc = h[H_NCLAUSES], off = h[H_LITS];
     for (int i = 0; i < n; i++)
         e->lits[off++] = clause[i];
     e->cend[nc] = off;
-    e->cgid[nc] = -1;
+    e->cgid[nc] = gid;
     h[H_NCLAUSES] = nc + 1;
     h[H_LITS] = off;
+}
+
+/* One gate-definition clause (always hard). */
+static void put_clause(Enc *e, const i64 *clause, int n) {
+    put_owned(e, clause, n, -1);
 }
 
 static i64 lookup(Enc *e, i64 op, i64 k1, i64 k2) {
@@ -489,6 +499,74 @@ void repro_enc_mux(ENC_ARGS, i64 cond, i64 *va, i64 *vb, i64 *vout, i64 n) {
     ENC_INIT;
     for (i64 i = 0; i < n; i++)
         vout[i] = enc_ite(&enc, cond, va[i], vb[i]);
+}
+
+/* Array read (mirror of CircuitBuilder.select's composition): for each
+ * cell p in order, here = equals(index, const(p)) and out = mux(here,
+ * cell, out), starting from const(0).  `cells` holds ncells vectors of n
+ * bits back to back. */
+void repro_enc_select(ENC_ARGS, const i64 *index, const i64 *cells,
+                      i64 ncells, i64 *vout, i64 n) {
+    ENC_INIT;
+    i64 t = hdr[H_TRUE];
+    i64 eq[64];
+    for (i64 i = 0; i < n; i++)
+        vout[i] = -t;
+    for (i64 p = 0; p < ncells; p++) {
+        for (i64 i = 0; i < n; i++)
+            eq[i] = -enc_xor(&enc, index[i], ((p >> i) & 1) ? t : -t);
+        i64 here = t;
+        for (i64 i = n - 1; i >= 0; i--)
+            here = enc_and(&enc, here, eq[i]);
+        const i64 *cell = cells + p * n;
+        for (i64 i = 0; i < n; i++)
+            vout[i] = enc_ite(&enc, here, cell[i], vout[i]);
+    }
+}
+
+/* target == source, bit by bit, as clauses owned by group `gid` (mirror of
+ * CircuitBuilder.assert_equal): a constant target bit (narrowed high bits)
+ * degenerates to a unit on the source or, against a disagreeing constant,
+ * to the unit false; a constant source bit to a unit on the target. */
+void repro_enc_assert_equal(ENC_ARGS, const i64 *target, const i64 *source,
+                            i64 n, i64 gid) {
+    ENC_INIT;
+    i64 t = hdr[H_TRUE];
+    for (i64 i = 0; i < n; i++) {
+        i64 tb = target[i], sb = source[i];
+        int sv = sb == t ? 1 : sb == -t ? 0 : -1;
+        int tv = tb == t ? 1 : tb == -t ? 0 : -1;
+        i64 unit;
+        if (tv >= 0) {
+            if (sv < 0)
+                unit = tv ? sb : -sb;
+            else if (sv != tv)
+                unit = -t;
+            else
+                continue;
+        } else if (sv == 1) {
+            unit = tb;
+        } else if (sv == 0) {
+            unit = -tb;
+        } else {
+            i64 c1[2] = {-tb, sb};
+            i64 c2[2] = {tb, -sb};
+            put_owned(&enc, c1, 2, gid);
+            put_owned(&enc, c2, 2, gid);
+            continue;
+        }
+        put_owned(&enc, &unit, 1, gid);
+    }
+}
+
+/* OR-reduction (mirror of CircuitBuilder.bit_or_many): the
+ * acc = -and(-acc, -lit) chain, starting from false. */
+i64 repro_enc_or_many(ENC_ARGS, const i64 *va, i64 n) {
+    ENC_INIT;
+    i64 acc = -hdr[H_TRUE];
+    for (i64 i = 0; i < n; i++)
+        acc = -enc_and(&enc, -acc, -va[i]);
+    return acc;
 }
 
 /* Rehash the gate table into a fresh zeroed table (Python grew it).

@@ -11,7 +11,8 @@ session mid-request.
 The scheduler (:meth:`WorkerPool.run_jobs`) batches tests by program
 version (one job per artifact), shards each job's tests, and places shards
 with *artifact affinity*: a shard goes to a worker that already holds the
-artifact when one exists, falling back to the least-loaded worker.
+artifact when one exists, falling back to the least-loaded worker (the
+fewest tests in flight across concurrent requests).
 Artifact bytes ride along only on the first shard a worker sees for that
 key; a worker that evicted the artifact in the meantime answers
 ``need-artifact`` and the shard is resent with bytes.  A shard whose
@@ -72,6 +73,8 @@ class PoolStats:
     worker_restarts: int = 0
     artifact_resends: int = 0
     localizations: int = 0
+    #: Shards dispatched to each worker index (a one-worker pool shows here).
+    shards_by_worker: dict = field(default_factory=dict)
     worker_reports: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -81,6 +84,7 @@ class PoolStats:
             "worker_restarts": self.worker_restarts,
             "artifact_resends": self.artifact_resends,
             "localizations": self.localizations,
+            "shards_by_worker": dict(self.shards_by_worker),
             "workers": dict(self.worker_reports),
         }
 
@@ -96,7 +100,10 @@ class _WorkerHandle:
         #: Artifact keys this worker is believed to hold (advisory: the
         #: worker may have evicted one, in which case it asks again).
         self.artifacts: set[str] = set()
-        self.assigned = 0
+        #: Tests placed on this worker whose shards have not ended yet,
+        #: across all concurrent :meth:`WorkerPool.run_jobs` calls: the
+        #: load the scheduler balances (guarded by the pool lock).
+        self.inflight = 0
         self.process: Optional[multiprocessing.Process] = None
         self.conn = None
         self.spawn()
@@ -234,15 +241,21 @@ class WorkerPool:
         result_lock = threading.Lock()
 
         def run_worker_queue(worker: _WorkerHandle, queue: list[_Shard]) -> None:
-            for shard in queue:
-                try:
+            # Every queued test leaves the worker's in-flight count when its
+            # shard ends: answered, failed, or skipped behind a failure.
+            remaining = sum(len(shard.tests) for shard in queue)
+            try:
+                for shard in queue:
                     shard_results = self._execute_shard(worker, shard)
-                except Exception as exc:  # noqa: BLE001 - collected below
+                    self._release(worker, len(shard.tests))
+                    remaining -= len(shard.tests)
                     with result_lock:
-                        errors.append(exc)
-                    return
+                        results.update(shard_results)
+            except Exception as exc:  # noqa: BLE001 - collected below
                 with result_lock:
-                    results.update(shard_results)
+                    errors.append(exc)
+            finally:
+                self._release(worker, remaining)
 
         with ThreadPoolExecutor(
             max_workers=max(1, len(assignments)),
@@ -277,29 +290,44 @@ class WorkerPool:
         return shards
 
     def _assign(self, shards: list[_Shard]) -> dict[_WorkerHandle, list[_Shard]]:
-        with self._lock:
-            workers = list(self._workers)
-        load: dict[_WorkerHandle, int] = {worker: 0 for worker in workers}
+        """Place shards: holders of the artifact first, else least loaded.
+
+        The load is each worker's in-flight test count, which persists
+        across calls, so a request for an artifact no worker holds lands
+        on the worker the concurrent requests leave idlest.
+        """
         assignments: dict[_WorkerHandle, list[_Shard]] = {}
         seen_key: dict[str, set[_WorkerHandle]] = {}
-        for shard in shards:
-            key = shard.job.artifact_key
-            used = seen_key.setdefault(key, set())
-            candidates = [w for w in workers if key in w.artifacts and w not in used]
-            if not candidates:
-                candidates = [w for w in workers if w not in used] or workers
-            worker = min(candidates, key=lambda w: (load[w], w.index))
-            used.add(worker)
-            load[worker] += len(shard.tests)
-            assignments.setdefault(worker, []).append(shard)
+        with self._lock:
+            workers = list(self._workers)
+            for shard in shards:
+                key = shard.job.artifact_key
+                used = seen_key.setdefault(key, set())
+                candidates = [
+                    w for w in workers if key in w.artifacts and w not in used
+                ]
+                if not candidates:
+                    candidates = [w for w in workers if w not in used] or workers
+                worker = min(candidates, key=lambda w: (w.inflight, w.index))
+                used.add(worker)
+                worker.inflight += len(shard.tests)
+                assignments.setdefault(worker, []).append(shard)
         return assignments
+
+    def _release(self, worker: _WorkerHandle, tests: int) -> None:
+        """Drop ``tests`` ended tests from ``worker``'s in-flight count."""
+        with self._lock:
+            worker.inflight -= tests
 
     # -------------------------------------------------------------- execution
 
     def _execute_shard(
         self, worker: _WorkerHandle, shard: _Shard, retried: bool = False
     ) -> dict[object, LocalizationReport]:
-        self.stats.shards_dispatched += 1
+        with self._lock:
+            self.stats.shards_dispatched += 1
+            by_worker = self.stats.shards_by_worker
+            by_worker[worker.index] = by_worker.get(worker.index, 0) + 1
         key = shard.job.artifact_key
         # Dispatcher threads interleave shards of different requests, so the
         # span is attached by explicit context (never thread-local); its own

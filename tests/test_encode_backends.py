@@ -4,9 +4,11 @@ Both backends fill the identical flat :class:`~repro.encoding.arena.GateArena`
 buffers with the identical fold rules and hash mixing, so whole compiles must
 be bit-identical between them: same CNF, same gate signature, same pickled
 artifact bytes, same localization reports.  These tests drive
-matched compile pairs through every Table 3 program, a hypothesis gate-op
-matrix over the five scalar gates, and seeded bit-vector kernel chains
-(add / multiply / equals / unsigned_less / mux), and require exact equality.
+matched compile pairs and concolic trace pairs through every Table 3
+program, a hypothesis gate-op matrix over the five scalar gates, and seeded
+bit-vector kernel chains (add / multiply / equals / unsigned_less / mux /
+select / assert_equal / is_nonzero), and require exact equality — down to
+which group owns each clause.
 
 The Python arm of each pair is produced in-process by pinning
 ``_ccore.encode_library`` to ``None`` — exactly the state a
@@ -41,7 +43,7 @@ from repro.encoding.arena import (
     HDR_HITS,
     HDR_NCLAUSES,
 )
-from repro.encoding.context import ArenaEncodingContext
+from repro.encoding.context import ArenaEncodingContext, StatementGroup
 from repro.sat import _ccore, flat
 from repro.siemens import tcas_faulty_program
 from repro.siemens.programs import LARGE_BENCHMARKS
@@ -105,6 +107,39 @@ class TestDifferential:
         assert c_artifact.num_clauses == py_artifact.num_clauses
         assert dumps_artifact(c_artifact) == dumps_artifact(py_artifact)
 
+    @pytest.mark.parametrize("case", TABLE3_CASES)
+    def test_table3_traces_bit_identical(self, case):
+        """The full and reduced concolic traces of Table 3's protocol."""
+        from repro.concolic import ConcolicTracer
+        from repro.reduction import minimize_failing_input, sliced_tracer_settings
+
+        program = case.faulty_program()
+        test, spec = list(case.failing_test), case.specification()
+        if "D" in case.reduction:
+            test = minimize_failing_input(test, case.fails)
+            spec = case.specification(tuple(test))
+        settings = sliced_tracer_settings(program) if "S" in case.reduction else {}
+        concrete = set(settings.get("concrete_functions", ()))
+        if "C" in case.reduction:
+            concrete |= set(case.concretize)
+
+        def traces():
+            full = ConcolicTracer(program).trace(test, spec)
+            reduced = ConcolicTracer(
+                program,
+                relevant_lines=settings.get("relevant_lines"),
+                concrete_functions=concrete,
+            ).trace(test, spec)
+            return [
+                (bytes(f.lits), bytes(f.ends), f.group_keys, f.signature)
+                for f in (full, reduced)
+            ]
+
+        with_c = traces()
+        with python_pinned():
+            pure = traces()
+        assert with_c == pure
+
     def test_tcas_artifact_bit_identical(self):
         program = tcas_faulty_program("v1")
         c_artifact = compile_cold(program)
@@ -149,6 +184,8 @@ def _context_summary(context: ArenaEncodingContext) -> tuple:
         context.gates_emitted,
         context.gate_hits,
         context.flat_clauses(),
+        # Group ownership of every clause, in emission order.
+        tuple(context.arena.cgid[: context.num_clauses]),
     )
 
 
@@ -209,28 +246,80 @@ def test_hypothesis_gate_matrix(ops):
 
 
 def _run_vector_ops(seed: int) -> tuple:
-    """A seeded chain of the hot bit-vector kernels, summarized."""
+    """A seeded chain of the hot bit-vector kernels, summarized.
+
+    Operations run in the hard set or in one of a few statement groups, so
+    the summary's ownership column checks where assert_equal's clauses go.
+    The pool mixes free, constant and narrowed (constant high bits) vectors;
+    selects draw constant or free indices, zero to six cells and sometimes
+    a narrower index (the Python fallback); assert_equal and is_nonzero
+    draw prefixes down to the empty vector.
+    """
     rng = random.Random(seed)
     context = ArenaEncodingContext(width=8)
     builder = CircuitBuilder(context)
     vectors = [builder.fresh() for _ in range(3)]
     vectors.append(builder.const(rng.randint(-128, 127)))
+    vectors.append(builder.fresh_narrowed(rng.randint(1, 7), rng.random() < 0.5))
     bits = [builder.true]
-    for _ in range(12):
+    groups = [None] + [StatementGroup(line) for line in (1, 2, 3)]
+    for _ in range(16):
         a = vectors[rng.randrange(len(vectors))]
         b = vectors[rng.randrange(len(vectors))]
-        choice = rng.randrange(5)
-        if choice == 0:
-            vectors.append(builder.add(a, b))
-        elif choice == 1:
-            vectors.append(builder.multiply(a, b))
-        elif choice == 2:
-            bits.append(builder.equals(a, b))
-        elif choice == 3:
-            bits.append(builder.unsigned_less(a, b))
-        else:
-            vectors.append(builder.mux(bits[rng.randrange(len(bits))], a, b))
+        choice = rng.randrange(8)
+        with context.group(rng.choice(groups)):
+            if choice == 0:
+                vectors.append(builder.add(a, b))
+            elif choice == 1:
+                vectors.append(builder.multiply(a, b))
+            elif choice == 2:
+                bits.append(builder.equals(a, b))
+            elif choice == 3:
+                bits.append(builder.unsigned_less(a, b))
+            elif choice == 4:
+                vectors.append(builder.mux(bits[rng.randrange(len(bits))], a, b))
+            elif choice == 5:
+                cells = [
+                    vectors[rng.randrange(len(vectors))]
+                    for _ in range(rng.choice((0, 1, rng.randint(2, 6))))
+                ]
+                index = rng.choice(
+                    (a, a, builder.const(rng.randint(-1, 6)), a[: rng.randint(1, 7)])
+                )
+                vectors.append(builder.select(index, cells))
+            elif choice == 6:
+                builder.assert_equal(a[: rng.choice((0, 1, 8))], b)
+            else:
+                bits.append(builder.is_nonzero(a[: rng.choice((0, 1, 8))]))
     return _context_summary(context)
+
+
+def _run_edge_ops() -> tuple:
+    """Every select / assert_equal / is_nonzero corner, in a fixed order."""
+    context = ArenaEncodingContext(width=8)
+    builder = CircuitBuilder(context)
+    free, other = builder.fresh(), builder.fresh()
+    narrowed = builder.fresh_narrowed(3, signed=False)
+    signed = builder.fresh_narrowed(3, signed=True)
+    five, minus_one = builder.const(5), builder.const(-1)
+    results = []
+    with context.group(StatementGroup(1)):
+        for index in (free, narrowed, builder.const(2), builder.const(9), free[:3]):
+            for cells in ([], [other], [five, minus_one], [five, other, narrowed]):
+                results.append(builder.select(index, cells))
+        results.append(builder.select(free, [five] * 12))
+    with context.group(StatementGroup(2)):
+        builder.assert_equal(narrowed, free)  # constant high target bits
+        builder.assert_equal(signed, other)
+        builder.assert_equal(narrowed, five)  # constant vs constant: agree
+        builder.assert_equal(narrowed, minus_one)  # ... and contradict
+        builder.assert_equal(free, five)
+        builder.assert_equal(free[:1], other)
+        builder.assert_equal((), other)
+    builder.assert_equal(other, free)  # the hard set
+    for bits in ((), free[:1], free, narrowed, five, builder.const(0)):
+        results.append(builder.is_nonzero(bits))
+    return results, _context_summary(context)
 
 
 @needs_c
@@ -239,6 +328,14 @@ def test_vector_kernels_identical(seed):
     with_c = _run_vector_ops(seed)
     with python_pinned():
         pure = _run_vector_ops(seed)
+    assert with_c == pure
+
+
+@needs_c
+def test_vector_kernel_edge_cases_identical():
+    with_c = _run_edge_ops()
+    with python_pinned():
+        pure = _run_edge_ops()
     assert with_c == pure
 
 

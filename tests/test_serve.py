@@ -512,7 +512,14 @@ class TestDaemon:
             stats = client.stats()
         assert stats["server"]["requests_served"] > 0
         assert set(stats["store"]) >= {"compiles", "hit_rate", "corrupt_recovered"}
-        assert set(stats["pool"]) >= {"shards_dispatched", "worker_restarts"}
+        assert set(stats["pool"]) >= {
+            "shards_dispatched",
+            "worker_restarts",
+            "shards_by_worker",
+        }
+        by_worker = stats["pool"]["shards_by_worker"]
+        assert by_worker and set(by_worker) <= {"0", "1"}
+        assert sum(by_worker.values()) == stats["pool"]["shards_dispatched"]
 
 
 class TestStoreConcurrency:
@@ -578,6 +585,87 @@ class TestScheduling:
         # The shard is the retry/watchdog unit: its size must respect the
         # bound even when the job would fit in fewer, larger shards.
         assert sizes == [8, 8, 4]
+
+    def test_unheld_artifact_goes_to_least_loaded_worker(self):
+        from repro.serve.workers import Job, ServeShardError, WorkerPool
+
+        def job(key, tests=1):
+            return Job(
+                artifact_key=key,
+                artifact_bytes=lambda: b"not an artifact",
+                session_options={},
+                tests=[
+                    ((key, i), [i], Specification.return_value(0), ())
+                    for i in range(tests)
+                ],
+            )
+
+        pool = WorkerPool(workers=2, max_tests_per_shard=1).start()
+        try:
+            # Worker 0 has a test in flight, so the next single-test job
+            # for an artifact no worker holds must go to idle worker 1.
+            busy = pool._assign(pool._make_shards([job("a")]))
+            idle = pool._assign(pool._make_shards([job("b")]))
+            assert [w.index for w in busy] == [0]
+            assert [w.index for w in idle] == [1]
+            assert [w.inflight for w in pool._workers] == [1, 1]
+            for worker in (*busy, *idle):
+                pool._release(worker, 1)
+            # Three one-test shards land on workers 0, 1, 0; every shard
+            # fails on the unloadable artifact, and worker 0's second shard
+            # never runs.  All of them still leave the in-flight counts.
+            with pytest.raises(ServeShardError):
+                pool.run_jobs([job("c", tests=3)])
+            assert [w.inflight for w in pool._workers] == [0, 0]
+            assert pool.stats.shards_by_worker == {0: 1, 1: 1}
+        finally:
+            pool.stop()
+
+    def test_concurrent_jobs_keep_pool_counters_exact(self):
+        import sys
+        import threading
+
+        from repro.serve.workers import Job, ServeShardError, WorkerPool
+
+        def failing_job(key):
+            return Job(
+                artifact_key=key,
+                artifact_bytes=lambda: b"not an artifact",
+                session_options={},
+                tests=[((key, i), [i], None, ()) for i in range(3)],
+            )
+
+        raised = []
+
+        def hammer(thread):
+            for round_ in range(5):
+                try:
+                    pool.run_jobs([failing_job(f"{thread}-{round_}")])
+                except ServeShardError:
+                    raised.append(thread)
+
+        # More workers than cores, many dispatcher threads and a tiny switch
+        # interval: a lost update would leave an in-flight count non-zero or
+        # the per-worker shard counts off the dispatched total.
+        pool = WorkerPool(workers=3, max_tests_per_shard=1).start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(raised) == 6 * 5
+            assert [w.inflight for w in pool._workers] == [0, 0, 0]
+            assert (
+                sum(pool.stats.shards_by_worker.values())
+                == pool.stats.shards_dispatched
+            )
+        finally:
+            sys.setswitchinterval(interval)
+            pool.stop()
 
     def test_batch_larger_than_memory_store_still_succeeds(self):
         # Jobs hold a strong reference to their artifact, so a memory-only
