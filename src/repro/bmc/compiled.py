@@ -374,29 +374,3 @@ class CompiledProgram(FlatFormula):
         else:  # pragma: no cover - defensive
             raise ValueError(f"unsupported specification kind {spec.kind!r}")
         return clauses, test_inputs
-
-    def phase_hints(self, test_inputs: Mapping[str, int]) -> dict[int, bool]:
-        """Warm-start phases from the concrete failing test (ROADMAP item).
-
-        Seeds the saved phase of every input and nondet bit variable with
-        its concrete value so the solver's first descent into the circuit
-        re-traces the failing execution instead of a cold default.
-        """
-        hints: dict[int, bool] = {}
-        named = dict(test_inputs)
-        vectors: list[tuple[Bits, int]] = []
-        for name, bits in self.input_bits.items():
-            if name in named:
-                vectors.append((bits, named[name]))
-        for index, bits in enumerate(self.nondet_bits):
-            key = f"nondet#{index}"
-            if key in named:
-                vectors.append((bits, named[key]))
-        for bits, value in vectors:
-            pattern = to_unsigned(value, len(bits))
-            for position, lit in enumerate(bits):
-                if self._const_value(lit) is not None:
-                    continue
-                wanted = bool((pattern >> position) & 1)
-                hints[abs(lit)] = wanted if lit > 0 else not wanted
-        return hints

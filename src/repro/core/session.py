@@ -16,9 +16,6 @@ test-input equalities and the post-condition units differ.  A
   and the CoMSS blocking clauses go in, Algorithm 1 runs, and the layer is
   popped — learnt clauses, variable activities and saved phases survive
   into the next test;
-* solver phases are warm-started from the concrete failing test, so the
-  first model search starts from the failing execution rather than from a
-  cold default;
 * :meth:`LocalizationSession.localize_batch` shards the failing tests over
   a process pool (``executor="process"``), pickling the compiled artifact
   once per worker, and merges the per-test reports into a
@@ -154,7 +151,6 @@ class LocalizationSession:
         entry: str = "main",
         hard_functions: Iterable[str] = (),
         hard_lines: Iterable[int] = (),
-        warm_start: bool = True,
         analysis_narrowing: bool = True,
         static_pruning: bool = True,
         unwind_planning: bool = False,
@@ -168,7 +164,6 @@ class LocalizationSession:
         self.entry = entry
         self.hard_functions = tuple(hard_functions)
         self.hard_lines = set(hard_lines)
-        self.warm_start = warm_start
         self.analysis_narrowing = analysis_narrowing
         self.static_pruning = static_pruning
         self.unwind_planning = unwind_planning
@@ -230,7 +225,6 @@ class LocalizationSession:
         strategy: str = "hitting-set",
         max_candidates: int = 25,
         hard_lines: Iterable[int] = (),
-        warm_start: bool = True,
         static_pruning: bool = True,
     ) -> "LocalizationSession":
         """Adopt an existing compiled artifact (process-pool workers do this).
@@ -246,7 +240,6 @@ class LocalizationSession:
         session.entry = compiled.entry
         session.hard_functions = ()
         session.hard_lines = set(hard_lines)
-        session.warm_start = warm_start
         session.analysis_narrowing = True
         session.static_pruning = static_pruning
         options = compiled.compile_options or {}
@@ -334,10 +327,8 @@ class LocalizationSession:
             )
             engine.push_layer()
             try:
-                for clause in clauses:
-                    engine.add_hard(clause)
-                if self.warm_start:
-                    engine.set_phases(compiled.phase_hints(test_inputs))
+                with obs.span("session.layer_load", clauses=len(clauses)):
+                    engine.add_hard_clauses(clauses)
                 layer_stats = self._solve(engine, report)
                 profile = dict(engine.layer_profile())
                 encode_profile = compiled.encode_profile()
@@ -350,7 +341,9 @@ class LocalizationSession:
                     profile["trace_id"] = trace_id
                 self.last_request_profile = profile
             finally:
-                engine.pop_layer()
+                with obs.span("session.layer_pop") as pop_span:
+                    clauses, stale = engine.pop_layer()
+                    pop_span.set(clauses=clauses, stale_learnts=stale)
         return self._finish(report, request_span.duration, layer_stats)
 
     def localize_trace(
@@ -495,7 +488,6 @@ class LocalizationSession:
             self.strategy,
             self.max_candidates,
             tuple(self.hard_lines),
-            self.warm_start,
             self.static_pruning,
         )
         reports: list[Optional[LocalizationReport]] = [None] * len(tests)
@@ -593,13 +585,12 @@ _WORKER_SESSION: Optional[LocalizationSession] = None
 
 def _pool_initializer(payload) -> None:
     global _WORKER_SESSION
-    compiled, strategy, max_candidates, hard_lines, warm_start, static_pruning = payload
+    compiled, strategy, max_candidates, hard_lines, static_pruning = payload
     _WORKER_SESSION = LocalizationSession.from_compiled(
         compiled,
         strategy=strategy,
         max_candidates=max_candidates,
         hard_lines=hard_lines,
-        warm_start=warm_start,
         static_pruning=static_pruning,
     )
 

@@ -25,22 +25,24 @@ The one-shot :meth:`MaxSatEngine.solve` remains as ``load`` + ``solve_current``.
 Engines are additionally **layered**: :meth:`MaxSatEngine.push_layer` opens
 a retractable layer on the persistent solver and
 :meth:`MaxSatEngine.pop_layer` undoes everything that happened inside it —
-hard clauses added through :meth:`MaxSatEngine.add_hard` (per-test inputs
-and specifications), blocking clauses, and soft-clause retirements, whose
-bindings are re-activated.  This is what lets a
+hard clauses added through :meth:`MaxSatEngine.add_hard_clauses` (per-test
+inputs and specifications, in one bulk load), blocking clauses, and
+soft-clause retirements, whose bindings are re-activated.  This is what lets a
 :class:`~repro.core.session.LocalizationSession` load one whole-program
 instance and run the CoMSS enumeration of many failing tests against it.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from repro import obs
 from repro.maxsat.result import MaxSatResult
 from repro.maxsat.wcnf import WCNF
-from repro.sat import Solver, SolverStats
+from repro.sat import Solver, SolverStats, flat
 
 
 @dataclass
@@ -194,12 +196,16 @@ class MaxSatEngine:
         self._hard_checked = False
         self._on_push()
 
-    def pop_layer(self) -> None:
-        """Retract the most recent layer: clauses out, retired softs back in."""
+    def pop_layer(self) -> tuple[int, int]:
+        """Retract the most recent layer: clauses out, retired softs back in.
+
+        Returns the solver's ``(clauses, stale_learnts)`` retraction counts
+        (:meth:`repro.sat.Solver.pop`).
+        """
         if not self._layers:
             raise RuntimeError("no layer to pop")
         layer = self._layers.pop()
-        self._solver.pop()
+        retracted = self._solver.pop()
         for binding in layer.retired:
             binding.active = True
         self._layer_forced = layer.forced
@@ -207,28 +213,34 @@ class MaxSatEngine:
         self._block_selector = layer.block_selector
         self._hard_checked = False
         self._on_pop()
+        return retracted
 
     def add_hard(self, clause: Iterable[int]) -> None:
-        """Add a hard clause to the live solver (layered while a layer is open).
+        """Add one hard clause (see :meth:`add_hard_clauses`)."""
+        self.add_hard_clauses([list(clause)])
+
+    def add_hard_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
+        """Add hard clauses to the live solver (layered while a layer is open).
 
         Used by the session API to assert the per-test input and
-        specification units on top of the shared program encoding.
+        specification units on top of the shared program encoding.  The
+        clauses reach the solver as one flat int32 buffer through its bulk
+        loader, with the effect of one ``add_clause`` per clause.
         """
         if self._solver is None:
             raise RuntimeError("no instance loaded; call load() first")
-        lits = list(clause)
-        self._solver.add_clause(lits)
-        if len(lits) == 1:
-            # A unit hard clause forces its literal for as long as the
-            # current layers live; record it so core bookkeeping
-            # (:meth:`_assumption_forced`) sees through the layer selector.
-            self._layer_forced.add(lits[0])
-
-    def set_phases(self, phases: Mapping[int, bool]) -> None:
-        """Seed solver phases (warm start from a concrete failing trace)."""
-        if self._solver is None:
-            raise RuntimeError("no instance loaded; call load() first")
-        self._solver.set_phases(phases)
+        clauses = list(clauses)
+        sizes = list(map(len, clauses))
+        lits = array(flat.TYPECODE, chain.from_iterable(clauses))
+        ends = array(flat.TYPECODE, accumulate(sizes))
+        units = [clause[0] for clause, size in zip(clauses, sizes) if size == 1]
+        if lits:
+            self._solver.ensure_vars(max(max(lits), -min(lits)))
+        self._solver.add_clause_buffer(lits, ends)
+        # A unit hard clause forces its literal for as long as the current
+        # layers live; record it so core bookkeeping
+        # (:meth:`_assumption_forced`) sees through the layer selector.
+        self._layer_forced.update(units)
 
     # -- statistics ----------------------------------------------------------
 
@@ -430,7 +442,7 @@ class MaxSatEngine:
 
 
 def evaluate_clause(
-    lits: tuple[int, ...] | list[int], model: dict[int, bool]
+    lits: tuple[int, ...] | list[int], model: Mapping[int, bool]
 ) -> bool | int:
     """Three-valued clause evaluation under a possibly partial model.
 
@@ -449,7 +461,7 @@ def evaluate_clause(
 
 
 def clause_satisfied(
-    lits: tuple[int, ...] | list[int], model: dict[int, bool]
+    lits: tuple[int, ...] | list[int], model: Mapping[int, bool]
 ) -> bool:
     """Evaluate a clause under a *complete* model.
 

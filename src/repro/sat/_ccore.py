@@ -15,7 +15,13 @@ first use.  The library exports its entry points over the same flat
 * ``repro_cancel_trail`` — the trail-undo loop of backtracking, for
   backtracks the Python control plane performs;
 * ``repro_check_clauses`` and ``repro_load_clauses`` — validation and bulk
-  loading of flat int32 clause buffers (:mod:`repro.sat.flat`).
+  loading of flat int32 clause buffers (:mod:`repro.sat.flat`), at the
+  root or into an open retractable layer;
+* ``repro_unlink_dead`` — clause retraction in one sweep: marks clauses
+  dead and unlinks their watchers from each affected watch list in one
+  pass (layer pops and learnt-database reduction);
+* ``repro_analyze_final`` — the trail walk that extracts an assumption
+  core.
 
 Each implements the same algorithm step for step as its Python fallback,
 so every backend combination produces identical assignments, conflicts,
@@ -237,8 +243,18 @@ def load_core() -> Optional[ctypes.CDLL]:
             [ctypes.c_void_p] * 8
             + [ctypes.c_long, ctypes.c_void_p] + [ctypes.c_long] * 3
             + [ctypes.c_void_p] * 2
-            + [ctypes.c_long]
+            + [ctypes.c_long] * 2
             + [ctypes.c_void_p] * 2
+        )
+        unlink = library.repro_unlink_dead
+        unlink.restype = ctypes.c_long
+        unlink.argtypes = (
+            [ctypes.c_void_p] * 4 + [ctypes.c_long] + [ctypes.c_void_p] * 2 + [ctypes.c_long]
+        )
+        final = library.repro_analyze_final
+        final.restype = ctypes.c_long
+        final.argtypes = (
+            [ctypes.c_void_p] * 5 + [ctypes.c_long] * 3 + [ctypes.c_void_p]
         )
         _loaded = library
     except Exception as error:  # compiler missing, sandboxed tmpdir, ...
@@ -367,6 +383,18 @@ def load_clauses_function():
     """The raw ``repro_load_clauses`` C function, or ``None``."""
     library = load_core()
     return None if library is None else library.repro_load_clauses
+
+
+def unlink_dead_function():
+    """The raw ``repro_unlink_dead`` C function, or ``None``."""
+    library = load_core()
+    return None if library is None else library.repro_unlink_dead
+
+
+def analyze_final_function():
+    """The raw ``repro_analyze_final`` C function, or ``None``."""
+    library = load_core()
+    return None if library is None else library.repro_analyze_final
 
 
 def core_unavailable_reason() -> Optional[str]:

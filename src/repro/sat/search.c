@@ -13,13 +13,19 @@
  *   repro_cancel_trail    the trail-undo loop of Solver._cancel_until;
  *   repro_check_clauses   validation of a flat int32 clause buffer;
  *   repro_load_clauses    the bulk clause loader: Solver.add_clause for
- *                     every clause of a flat int32 buffer, at level 0.
+ *                     every clause of a flat int32 buffer, at level 0,
+ *                     tagged with the open layer's selector if any;
+ *   repro_unlink_dead     clause retraction in one sweep (layer pops,
+ *                     learnt-database reduction): mark dead, unlink the
+ *                     dead watchers of each affected list in one pass;
+ *   repro_analyze_final   the assumption-core trail walk.
  *
  * Each implements exactly the same algorithm, over exactly the same data
  * layout, as its pure-Python mirror (Solver._propagate_python,
- * Solver._search_python, repro.sat.flat.check_clause_buffer and a loop of
- * Solver.add_clause).  Any behavioural divergence between the two is a
- * bug; the differential suites (tests/test_propagation_backends.py,
+ * Solver._search_python, repro.sat.flat.check_clause_buffer, a loop of
+ * Solver.add_clause, Solver._unlink_dead_python and
+ * Solver._final_decisions_python).  Any behavioural divergence between the
+ * two is a bug; the differential suites (tests/test_propagation_backends.py,
  * tests/test_search_backends.py, tests/test_clause_load.py) compare models,
  * conflicts, cores, statistics and solver internals across backends.
  *
@@ -69,6 +75,7 @@
 
 #define HDR 5
 #define FLAG_LEARNT 1
+#define FLAG_DEAD 2
 
 #define EXIT_SAT 1
 #define EXIT_UNSAT 2
@@ -640,6 +647,103 @@ void repro_cancel_trail(long *trail, signed char *assigns,
     state[1] = heap_size;
 }
 
+/* ------------------------------------------------------ clause retraction */
+
+/* Solver._detach_all: retract the clauses refs[0 .. nrefs-1] in one sweep.
+ * Each is marked dead, then the watcher list of every literal one of them
+ * watches is walked once and the watchers of dead clauses are unlinked.
+ * The surviving watchers keep their relative order, so the heads and the
+ * link words of live clauses end up exactly as detaching one clause at a
+ * time leaves them (a dead clause's own link words are garbage and are
+ * not written).  `seen` marks the literals already swept (bit 1 << sign
+ * per variable) and is left zeroed.  The reasons of trail[0 .. trail_len-1]
+ * that name a dead clause are cleared (a layer pop passes the level-0
+ * trail; database reduction never frees a reason and passes 0).  Returns
+ * the arena words the dead clauses occupy. */
+long repro_unlink_dead(long *arena, long *heads, signed char *seen,
+                       const long *refs, long nrefs, long *reasons,
+                       const long *trail, long trail_len)
+{
+    long garbage = 0;
+    for (long i = 0; i < nrefs; i++) {
+        long ref = refs[i];
+        garbage += (arena[ref] >> 2) + HDR;
+        arena[ref] |= FLAG_DEAD;
+    }
+    for (long i = 0; i < nrefs; i++) {
+        long base = refs[i] + HDR;
+        for (long slot = 0; slot < 2; slot++) {
+            long lit = arena[base + slot];
+            signed char bit = (signed char) (1 << (lit & 1));
+            if (seen[lit >> 1] & bit)
+                continue;
+            seen[lit >> 1] |= bit;
+            long *prev = &heads[lit];
+            long ptr = *prev;
+            while (ptr) {
+                long ref = ptr >> 1;
+                long next = arena[ref + 1 + (ptr & 1)];
+                if (arena[ref] & FLAG_DEAD)
+                    *prev = next;
+                else
+                    prev = &arena[ref + 1 + (ptr & 1)];
+                ptr = next;
+            }
+        }
+    }
+    for (long i = 0; i < nrefs; i++) {
+        long base = refs[i] + HDR;
+        seen[arena[base] >> 1] = 0;
+        seen[arena[base + 1] >> 1] = 0;
+    }
+    for (long i = 0; i < trail_len; i++) {
+        long var = trail[i] >> 1;
+        long reason = reasons[var];
+        if (reason && (arena[reason] & FLAG_DEAD))
+            reasons[var] = 0;
+    }
+    return garbage;
+}
+
+/* ------------------------------------------------------- assumption core */
+
+/* Solver._analyze_final's trail walk: the decisions behind the falsified
+ * assumption literal `failed`.  Walks the trail from its end down to
+ * position `bound` (where decision level 1 starts): a marked variable with
+ * a reason marks that reason's other variables above level 0, a marked
+ * decision literal is written to `out`, in walk order.  `seen` is left
+ * zeroed.  Returns the number of literals written (at most
+ * trail_len - bound). */
+long repro_analyze_final(const long *arena, const long *levels,
+                         const long *reasons, const long *trail,
+                         signed char *seen, long trail_len, long bound,
+                         long failed, long *out)
+{
+    long count = 0;
+    seen[failed >> 1] = 1;
+    for (long index = trail_len - 1; index >= bound; index--) {
+        long ilit = trail[index];
+        long var = ilit >> 1;
+        if (!seen[var])
+            continue;
+        long reason = reasons[var];
+        if (!reason) {
+            out[count++] = ilit;
+        } else {
+            long base = reason + HDR;
+            long size = arena[reason] >> 2;
+            for (long k = 0; k < size; k++) {
+                long qvar = arena[base + k] >> 1;
+                if (qvar != var && levels[qvar] > 0)
+                    seen[qvar] = 1;
+            }
+        }
+        seen[var] = 0;
+    }
+    seen[failed >> 1] = 0;
+    return count;
+}
+
 /* ------------------------------------------------------ flat clause load */
 
 /* Validate a flat clause buffer before anything indexes with it.  Clause i
@@ -671,7 +775,7 @@ long repro_check_clauses(const int *lits, long nlits, const int *ends,
 
 /* The bulk clause loader: the effect of Solver.add_clause on clauses
  * first .. last-1 of a flat buffer of nclauses clauses, in order, at
- * decision level 0 with no layer open.  Solver.add_clause_buffer validates
+ * decision level 0.  Solver.add_clause_buffer validates
  * the whole buffer and range table once (repro_check_clauses) and then
  * loads it in slices, growing the arena between calls, so the arena grows
  * the way per-clause loading grows it.
@@ -680,7 +784,10 @@ long repro_check_clauses(const int *lits, long nlits, const int *ends,
  * selectors: clause i lies in range r when range_ends[r-1] <= i <
  * range_ends[r], and when range_sels[r] != 0 the literal -range_sels[r]
  * is appended to it (the clause grouping of the paper's Section 3.4);
- * clauses past the last range carry no selector.  Per clause, exactly as
+ * clauses past the last range carry no selector.  A non-zero layer_sel is
+ * the selector of the innermost open layer: -layer_sel is appended after
+ * the range selector, the literal order in which add_clause tags a layered
+ * clause.  Per clause, exactly as
  * add_clause: literals map to the internal 2*var+sign encoding, a repeated
  * literal is dropped, a tautology or a literal true at level 0 drops the
  * clause, a literal false at level 0 is dropped; an empty result makes the
@@ -695,14 +802,14 @@ long repro_check_clauses(const int *lits, long nlits, const int *ends,
  * Returns 0; or, without touching any solver state, 1 when the slice's
  * offsets leave [0, nlits] or decrease, 3/4 for a zero or out-of-range
  * literal in it, 5 for a selector out of range, 6 when the arena capacity
- * cannot hold the slice. */
+ * cannot hold the slice (HDR + 2 words per clause beyond its literals). */
 long repro_load_clauses(long *arena, long *heads, signed char *assigns,
                         long *levels, long *reasons, long *trail,
                         signed char *seen, const int *lits, long nlits,
                         const int *ends, long nclauses, long first,
                         long last, const int *range_ends,
-                        const int *range_sels, long nranges, long *refs,
-                        long *state)
+                        const int *range_sels, long nranges, long layer_sel,
+                        long *refs, long *state)
 {
     long num_vars = state[4];
     if (first < 0 || last < first || last > nclauses)
@@ -726,10 +833,12 @@ long repro_load_clauses(long *arena, long *heads, signed char *assigns,
     for (long r = 0; r < nranges; r++)
         if (range_sels[r] < 0 || range_sels[r] > num_vars)
             return 5;
+    if (layer_sel < 0 || layer_sel > num_vars)
+        return 5;
     long qhead = state[0];
     long trail_len = state[1];
     long arena_len = state[2];
-    if (state[5] - arena_len < (last - first) * (HDR + 1) + (prev - begin))
+    if (state[5] - arena_len < (last - first) * (HDR + 2) + (prev - begin))
         return 6;
 
     long nrefs = 0;
@@ -740,13 +849,19 @@ long repro_load_clauses(long *arena, long *heads, signed char *assigns,
         while (r < nranges && range_ends[r] <= i)
             r++;
         long selector = r < nranges ? range_sels[r] : 0;
+        long tail[2];
+        long ntail = 0;
+        if (selector)
+            tail[ntail++] = -selector;
+        if (layer_sel)
+            tail[ntail++] = -layer_sel;
         long end = ends[i];
-        long total = end - start + (selector ? 1 : 0);
+        long total = end - start + ntail;
         long base = arena_len + HDR;
         long n = 0;
         int dropped = 0;
         for (long k = 0; k < total; k++) {
-            long lit = start + k < end ? lits[start + k] : -selector;
+            long lit = start + k < end ? lits[start + k] : tail[start + k - end];
             long var = lit < 0 ? -lit : lit;
             long ilit = 2 * var + (lit < 0 ? 1 : 0);
             signed char mark = seen[var];

@@ -29,7 +29,11 @@ the reproduction:
   adds the permanent unit ``-s``, which subsumes every clause of the layer,
   and therefore keeps all learnt clauses valid.  The session API uses this
   to load one whole-program encoding and swap per-test input/specification
-  units in and out without rebuilding the solver.
+  units in and out without rebuilding the solver.  A layer's clauses load
+  in bulk (:meth:`Solver.add_clause_buffer` tags them with ``-s`` as
+  :meth:`Solver.add_clause` does), and a pop retracts them, and the learnt
+  clauses that mention ``-s``, in one sweep over the affected watcher
+  lists.
 * **Assumption-trail keeping.**  On trace formulas almost the entire
   circuit is forced by the assumptions, so re-deciding the same assumption
   prefix on every :meth:`Solver.solve` call re-propagates thousands of
@@ -65,10 +69,19 @@ kernels operate over that memory:
   answers, assumption-core extraction, learnt-database reduction, budget
   exhaustion, and buffer-capacity growth).
 
-Two smaller ones serve the Python control plane: ``repro_cancel_trail``
-undoes the trail when Python backtracks, and ``repro_load_clauses`` adds a
-whole flat clause buffer (:meth:`Solver.add_clause_buffer`) with the effect
-of one :meth:`Solver.add_clause` per clause.
+Smaller ones serve the Python control plane:
+
+* ``repro_cancel_trail`` undoes the trail when Python backtracks;
+* ``repro_load_clauses`` adds a whole flat clause buffer
+  (:meth:`Solver.add_clause_buffer`), at the root or into the open layer,
+  with the effect of one :meth:`Solver.add_clause` per clause;
+* ``repro_unlink_dead`` retracts clauses (:meth:`Solver._detach_all`, for
+  layer pops and learnt-database reduction): it marks them dead and
+  unlinks their watchers in one pass over each affected watcher list;
+* ``repro_analyze_final`` walks the trail for an assumption core.
+
+Models are snapshots of the assignment buffer; :meth:`Solver.get_model`
+hands out a lazy :class:`ModelView` over one instead of a dict.
 
 The pure-Python loop implements the identical algorithm over plain lists
 and remains the always-tested fallback; every backend combination produces
@@ -82,6 +95,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field, replace
+from collections.abc import Mapping, MutableMapping
 from typing import Iterable, Optional, Sequence
 
 from repro.sat import _ccore, flat
@@ -164,12 +178,92 @@ class _Layer:
     clause_mark: int = 0  # len(solver._clauses) when the layer opened
 
 
+class ModelView(MutableMapping):
+    """A model as a ``{var: bool}`` mapping, read lazily from a snapshot.
+
+    :meth:`Solver.get_model` returns one instead of building a dict the
+    size of the variable count for every SAT answer.  Reads see the
+    variables the snapshot assigns; writes go to an overlay and never reach
+    the snapshot, so :meth:`Solver.model_value` and later models are
+    unaffected.  Iteration order, and so ``dict(view)``, is that of the
+    eagerly built dict: assigned variables in ascending order, then keys
+    written later in insertion order.  The first deletion turns the view
+    into a plain dict copy.
+    """
+
+    def __init__(self, values: Sequence[int]) -> None:
+        self._values = values  # per-variable -1/0/1 assignment snapshot
+        self._overlay: dict = {}
+        self._dict: Optional[dict] = None
+
+    def get(self, var, default=None):
+        if self._dict is not None:
+            return self._dict.get(var, default)
+        if var in self._overlay:
+            return self._overlay[var]
+        values = self._values
+        if isinstance(var, int) and 0 < var < len(values):
+            value = values[var]
+            if value != _UNDEF:
+                return value == _TRUE
+        return default
+
+    def __getitem__(self, var):
+        value = self.get(var, _ABSENT)
+        if value is _ABSENT:
+            raise KeyError(var)
+        return value
+
+    def __contains__(self, var) -> bool:
+        return self.get(var, _ABSENT) is not _ABSENT
+
+    def __setitem__(self, var, value) -> None:
+        if self._dict is not None:
+            self._dict[var] = value
+        else:
+            self._overlay[var] = value
+
+    def __delitem__(self, var) -> None:
+        if self._dict is None:
+            self._dict = dict(self.items())
+        del self._dict[var]
+
+    def _added(self) -> list:
+        """Overlay keys the snapshot does not assign, in insertion order."""
+        values = self._values
+        return [
+            var
+            for var in self._overlay
+            if not (isinstance(var, int) and 0 < var < len(values) and values[var] != _UNDEF)
+        ]
+
+    def __iter__(self):
+        if self._dict is not None:
+            yield from self._dict
+            return
+        yield from (var for var, value in enumerate(self._values) if value != _UNDEF)
+        yield from self._added()
+
+    def __len__(self) -> int:
+        if self._dict is not None:
+            return len(self._dict)
+        # Slot 0 (no variable) is never assigned, so the count covers it.
+        return len(self._values) - self._values.count(_UNDEF) + len(self._added())
+
+    def __repr__(self) -> str:
+        return f"ModelView({dict(self.items())!r})"
+
+
+#: Missing-key sentinel of :class:`ModelView`.
+_ABSENT = object()
+
+
 @dataclass
 class SolveResult:
     """Outcome of a single :meth:`Solver.solve` call."""
 
     satisfiable: bool
-    model: Optional[dict[int, bool]] = None
+    model: Optional[Mapping[int, bool]] = None
     core: Optional[list[int]] = None
 
 
@@ -540,12 +634,14 @@ class Solver:
         (:meth:`ensure_vars`); a malformed buffer or range table raises
         ``ValueError`` before any clause is added.
 
-        The effect is exactly that of :meth:`add_clause` on each clause.  At
-        decision level 0 with no layer open, solvers on the flat buffers do
-        it with the ``repro_load_clauses`` C routine, a slice of clauses per
-        call so the arena grows about as per-clause loading grows it;
-        otherwise the per-clause loop runs, which is also the pure-Python
-        implementation.  Returns ``False`` once the formula is
+        The effect is exactly that of :meth:`add_clause` on each clause,
+        layer tagging included: while a layer is open every clause also gets
+        ``-selector`` of the innermost layer (after its range selector) and
+        joins that layer.  At decision level 0, solvers on the flat buffers
+        do it with the ``repro_load_clauses`` C routine, a slice of clauses
+        per call so the arena grows about as per-clause loading grows it;
+        under a kept assumption trail, and in the pure-Python solver, the
+        per-clause loop runs.  Returns ``False`` once the formula is
         unsatisfiable.
         """
         problem = flat.check_clause_buffer(lits, ends, self._num_vars)
@@ -562,7 +658,7 @@ class Solver:
             raise ValueError("malformed clause range table")
         if not self._ok:
             return False
-        if not self._flat or self._trail_lim or self._layers:
+        if not self._flat or self._trail_lim:
             start = 0
             for stop, selector in [*zip(range_ends, range_sels), (len(ends), 0)]:
                 for clause in flat.clause_lists(lits, ends, start, stop, selector):
@@ -570,14 +666,15 @@ class Solver:
                 start = stop
             return self._ok
         load = _ccore.load_clauses_function()
+        layer = self._layers[-1] if self._layers else None
         arena = self._arena
         physical = len(arena)
-        refs = array("l", bytes(_LOAD_SLICE * array("l").itemsize))
+        refs = array("l", bytes(min(_LOAD_SLICE, len(ends)) * array("l").itemsize))
         state = array("l", [0] * 8)
         for first in range(0, len(ends), _LOAD_SLICE):
             last = min(first + _LOAD_SLICE, len(ends))
             width = ends[last - 1] - (ends[first - 1] if first else 0)
-            needed = self._arena_len + (_HDR + 1) * (last - first) + width
+            needed = self._arena_len + (_HDR + 2) * (last - first) + width
             if len(arena) < needed:
                 arena.frombytes(bytes((needed - len(arena)) * arena.itemsize))
             state[0:6] = array(
@@ -601,6 +698,7 @@ class Solver:
                 range_ends.buffer_info()[0],
                 range_sels.buffer_info()[0],
                 len(range_ends),
+                layer.selector if layer is not None else 0,
                 refs.buffer_info()[0],
                 state.buffer_info()[0],
             )
@@ -610,7 +708,10 @@ class Solver:
             self._trail_len = state[1]
             self._arena_len = state[2]
             self.stats.propagations += state[3]
-            self._clauses.extend(refs[: state[6]])
+            added = refs[: state[6]]
+            self._clauses.extend(added)
+            if layer is not None:
+                layer.clauses.extend(added)
             if not state[7]:
                 self._ok = False
                 break
@@ -750,27 +851,26 @@ class Solver:
         truth = value == _TRUE
         return truth if lit > 0 else not truth
 
-    def get_model(self, complete: bool = False) -> dict[int, bool]:
-        """Return the last model as a ``{var: bool}`` dictionary.
+    def get_model(self, complete: bool = False) -> MutableMapping[int, bool]:
+        """Return the last model as a ``{var: bool}`` mapping.
 
-        With ``complete=True`` variables the search left unassigned (don't
+        By default the mapping is a :class:`ModelView` over the model's
+        assignment snapshot: variables the search left unassigned are
+        absent, and writes to it stay private to it.  With
+        ``complete=True`` it is a dict in which those variables (don't
         cares, or variables allocated after the solve) take their saved
-        phase instead of being omitted, yielding a total assignment.
+        phase, yielding a total assignment.
         """
         if self._model is None:
             raise RuntimeError("no model available; last solve was UNSAT or never ran")
         if not complete:
-            return {
-                var: value == _TRUE
-                for var, value in enumerate(self._model)
-                if var and value != _UNDEF
-            }
+            return ModelView(self._model)
         model: dict[int, bool] = {}
         for var in range(1, self._num_vars + 1):
             value = self._model[var] if var < len(self._model) else _UNDEF
             if value != _UNDEF:
                 model[var] = value == _TRUE
-            elif complete:
+            else:
                 model[var] = bool(self._polarity[var])
         return model
 
@@ -817,7 +917,7 @@ class Solver:
         self._layers.append(_Layer(selector, clause_mark=len(self._clauses)))
         return selector
 
-    def pop(self) -> None:
+    def pop(self) -> tuple[int, int]:
         """Retract the most recently pushed layer.
 
         The layer's clauses are detached and the permanent unit clause
@@ -825,16 +925,16 @@ class Solver:
         ``-selector``, the unit subsumes them all — so every clause learnt
         from them stays implied by the remaining database.  Learnt clauses
         that mention the dead selector are garbage-collected; the rest (the
-        reusable program-structure lemmas) survive.
+        reusable program-structure lemmas) survive.  All of them leave the
+        watcher lists in one sweep (:meth:`_detach_all`).
+
+        Returns ``(clauses, stale_learnts)``: how many layer clauses and
+        learnt clauses were retracted.
         """
         if not self._layers:
             raise RuntimeError("no layer to pop")
         self._cancel_to_root()
         layer = self._layers.pop()
-        removed = set(layer.clauses)
-        for ref in layer.clauses:
-            self._detach(ref)
-            self._free(ref)
         # Every problem clause added since the layer opened belongs to it
         # (add_clause tags them all), so the layer's clauses are exactly the
         # tail of the clause list.
@@ -844,28 +944,22 @@ class Solver:
         # lists do not silt up over a long session.
         dead_lit = self._to_internal(-layer.selector)
         arena = self._arena
-        stale: list[int] = []
-        for ref in self._learnts:
-            base = ref + _HDR
-            for index in range(base, base + (arena[ref] >> 2)):
-                if arena[index] == dead_lit:
-                    stale.append(ref)
-                    break
+        stale = [
+            ref
+            for ref in self._learnts
+            if dead_lit in arena[ref + _HDR : ref + _HDR + (arena[ref] >> 2)]
+        ]
+        # Level-0 propagations may still name a retracted clause as their
+        # reason; those reasons are never resolved against again, but the
+        # dangling references are cleared so compaction cannot remap them
+        # to a recycled slot.  After the return to the root only the trail's
+        # variables hold a reason, so the level-0 trail is all there is to
+        # scan.
+        self._detach_all(layer.clauses + stale, clear_reasons=True)
         if stale:
+            self._learnts = [ref for ref in self._learnts if not arena[ref] & _FLAG_DEAD]
             for ref in stale:
-                self._detach(ref)
-                self._free(ref)
-                removed.add(ref)
-            self._learnts = [ref for ref in self._learnts if ref not in removed]
-        if removed:
-            # Level-0 propagations may still name a retracted clause as their
-            # reason; those reasons are never resolved against again, but the
-            # dangling references are cleared so compaction cannot remap them
-            # to a recycled slot.
-            reason = self._reason
-            for var in range(1, self._num_vars + 1):
-                if reason[var] in removed:
-                    reason[var] = 0
+                self._activity_of.pop(ref, None)
         self._maybe_compact()
         # The retraction unit is permanent even when outer layers are still
         # open (a popped layer can never be re-entered), so it must bypass
@@ -876,22 +970,12 @@ class Solver:
             self.add_clause([-layer.selector])
         finally:
             self._layers = remaining
+        return len(layer.clauses), len(stale)
 
     def _cancel_to_root(self) -> None:
         """Backtrack to level 0, giving up any kept assumption trail."""
         self._kept_assumptions = []
         self._cancel_until(0)
-
-    def set_phases(self, phases) -> None:
-        """Seed the saved phase of variables (warm start).
-
-        ``phases`` maps variable index to the Boolean the next decision on
-        that variable should try first.  Used to prime the search with the
-        concrete values of a known failing execution.
-        """
-        for var, value in phases.items():
-            if 1 <= var <= self._num_vars:
-                self._polarity[var] = bool(value)
 
     # ------------------------------------------------------------ internals
 
@@ -958,32 +1042,71 @@ class Solver:
         arena[ref + 2] = heads[lit1]
         heads[lit1] = (ref << 1) | 1
 
-    def _detach(self, ref: int) -> None:
-        """Unlink both watch slots of a clause from the watcher lists."""
+    def _detach_all(self, refs: Sequence[int], clear_reasons: bool = False) -> None:
+        """Retract attached clauses: mark them dead, unlink their watchers.
+
+        Every affected watcher list is swept once, unlinking all watchers of
+        dead clauses in one pass; the surviving watchers keep their relative
+        order, so the lists are those a one-clause-at-a-time detach leaves.
+        With ``clear_reasons`` (decision level 0 only) the reasons on the
+        trail that name a retracted clause are reset to 0.  Learnt clauses
+        among ``refs`` keep their activity entries; the callers drop them.
+
+        Solvers on the flat buffers run ``repro_unlink_dead``;
+        :meth:`_unlink_dead_python` is the mirror.
+        """
+        if not refs:
+            return
+        trail_len = self._trail_len if clear_reasons else 0
+        if self._flat:
+            buf = array("l", refs)
+            garbage = _ccore.unlink_dead_function()(
+                self._arena.buffer_info()[0],
+                self._heads.buffer_info()[0],
+                self._seen.buffer_info()[0],
+                buf.buffer_info()[0],
+                len(buf),
+                self._reason.buffer_info()[0],
+                self._trail.buffer_info()[0],
+                trail_len,
+            )
+        else:
+            garbage = self._unlink_dead_python(refs, trail_len)
+        self._garbage += garbage
+
+    def _unlink_dead_python(self, refs: Sequence[int], trail_len: int) -> int:
+        """The pure-Python mirror of ``repro_unlink_dead``; returns the
+        arena words the retracted clauses occupy."""
         arena = self._arena
         heads = self._heads
-        base = ref + _HDR
-        for slot in (0, 1):
-            lit = arena[base + slot]
-            target = (ref << 1) | slot
-            current = heads[lit]
-            if current == target:
-                heads[lit] = arena[ref + 1 + slot]
-                continue
-            while current:
-                link = (current >> 1) + 1 + (current & 1)
+        garbage = 0
+        for ref in refs:
+            header = arena[ref]
+            garbage += (header >> 2) + _HDR
+            arena[ref] = header | _FLAG_DEAD
+        watched = {arena[ref + _HDR + slot] for ref in refs for slot in (0, 1)}
+        for lit in watched:
+            prev = -1  # -1: the list head; otherwise an arena index
+            ptr = heads[lit]
+            while ptr:
+                ref = ptr >> 1
+                link = ref + 1 + (ptr & 1)
                 following = arena[link]
-                if following == target:
-                    arena[link] = arena[ref + 1 + slot]
-                    break
-                current = following
-
-    def _free(self, ref: int) -> None:
-        """Mark a detached clause dead; its arena span becomes garbage."""
-        header = self._arena[ref]
-        self._arena[ref] = header | _FLAG_DEAD
-        self._activity_of.pop(ref, None)
-        self._garbage += (header >> 2) + _HDR
+                if arena[ref] & _FLAG_DEAD:
+                    if prev < 0:
+                        heads[lit] = following
+                    else:
+                        arena[prev] = following
+                else:
+                    prev = link
+                ptr = following
+        reason = self._reason
+        trail = self._trail
+        for index in range(trail_len):
+            var = trail[index] >> 1
+            if reason[var] and arena[reason[var]] & _FLAG_DEAD:
+                reason[var] = 0
+        return garbage
 
     def _maybe_compact(self) -> None:
         """Compact the arena when dead clauses dominate it.
@@ -1456,10 +1579,41 @@ class Solver:
         return learnt, backjump
 
     def _analyze_final(self, failed: int) -> list[int]:
-        """Compute an assumption core given a falsified assumption literal."""
+        """Compute an assumption core given a falsified assumption literal.
+
+        The core is ``failed`` plus the decision literals the trail walk
+        reaches, inserted into one set in walk order, so the list order does
+        not depend on which walk ran: ``repro_analyze_final`` on the flat
+        buffers, :meth:`_final_decisions_python` otherwise.
+        """
         core_internal = {failed}
-        if self._decision_level() == 0:
-            return [self._to_external(lit) for lit in core_internal]
+        if self._decision_level() > 0:
+            if self._flat:
+                core_internal.update(self._final_decisions_c(failed))
+            else:
+                core_internal.update(self._final_decisions_python(failed))
+        return [self._to_external(lit) for lit in core_internal]
+
+    def _final_decisions_c(self, failed: int) -> array:
+        """The decisions behind ``failed``, walked by ``repro_analyze_final``."""
+        out = self._ensure_buf("_analyze_buf", 2 * self._num_vars + 4)
+        count = _ccore.analyze_final_function()(
+            self._arena.buffer_info()[0],
+            self._level.buffer_info()[0],
+            self._reason.buffer_info()[0],
+            self._trail.buffer_info()[0],
+            self._seen.buffer_info()[0],
+            self._trail_len,
+            self._trail_lim[0],
+            failed,
+            out.buffer_info()[0],
+        )
+        return out[:count]
+
+    def _final_decisions_python(self, failed: int) -> list[int]:
+        """The pure-Python trail walk (mirror of ``repro_analyze_final``):
+        the decision literals behind ``failed``, in walk order."""
+        decisions: list[int] = []
         arena = self._arena
         seen = self._seen
         seen[failed >> 1] = 1
@@ -1471,7 +1625,7 @@ class Solver:
                 continue
             reason = self._reason[var]
             if not reason:
-                core_internal.add(ilit)
+                decisions.append(ilit)
             else:
                 base = reason + _HDR
                 for position in range(base, base + (arena[reason] >> 2)):
@@ -1480,7 +1634,7 @@ class Solver:
                         seen[qvar] = 1
             seen[var] = 0
         seen[failed >> 1] = 0
-        return [self._to_external(lit) for lit in core_internal]
+        return decisions
 
     def _pick_branch_literal(self) -> Optional[int]:
         while len(self._order):
@@ -1498,7 +1652,7 @@ class Solver:
         learnts.sort(key=lambda ref: activity_of.get(ref, 0.0))
         threshold = self._cla_inc / max(len(learnts), 1)
         keep: list[int] = []
-        removed = 0
+        removed: list[int] = []
         half = len(learnts) // 2
         for index, ref in enumerate(learnts):
             base = ref + _HDR
@@ -1510,13 +1664,14 @@ class Solver:
             if locked or (arena[ref] >> 2) <= 2:
                 keep.append(ref)
             elif index < half or activity_of.get(ref, 0.0) < threshold:
-                self._detach(ref)
-                self._free(ref)
-                removed += 1
+                removed.append(ref)
             else:
                 keep.append(ref)
+        self._detach_all(removed)
+        for ref in removed:
+            activity_of.pop(ref, None)
         self._learnts = keep
-        self.stats.deleted_clauses += removed
+        self.stats.deleted_clauses += len(removed)
         self._maybe_compact()
 
     @staticmethod
@@ -1613,7 +1768,7 @@ class Solver:
             if next_lit is None:
                 next_lit = self._pick_branch_literal()
                 if next_lit is None:
-                    self._model = list(self._assigns)
+                    self._model = self._assigns[:]
                     return True
                 free_decisions += 1
                 if self.max_decisions is not None and free_decisions > self.max_decisions:
@@ -1779,7 +1934,7 @@ class Solver:
                     self._cla_inc /= self._cla_decay
             reason = state[_S_EXIT_REASON]
             if reason == _EXIT_SAT:
-                self._model = list(self._assigns)
+                self._model = self._assigns[:]
                 return True
             if reason == _EXIT_UNSAT:
                 self._ok = False

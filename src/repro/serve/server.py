@@ -49,7 +49,6 @@ SESSION_OPTION_DEFAULTS: dict[str, object] = {
     "strategy": "hitting-set",
     "max_candidates": 25,
     "hard_lines": (),
-    "warm_start": True,
     "static_pruning": True,
 }
 

@@ -474,7 +474,6 @@ def _worker_main(conn, max_sessions: int) -> None:
                 options.get("strategy", "hitting-set"),
                 options.get("max_candidates", 25),
                 tuple(sorted(options.get("hard_lines", ()))),
-                options.get("warm_start", True),
                 options.get("static_pruning", True),
             )
             with obs.remote_trace(trace_ctx) as trace_bundle:
@@ -487,8 +486,7 @@ def _worker_main(conn, max_sessions: int) -> None:
                                 strategy=session_key[1],
                                 max_candidates=session_key[2],
                                 hard_lines=session_key[3],
-                                warm_start=session_key[4],
-                                static_pruning=session_key[5],
+                                static_pruning=session_key[4],
                             )
                         sessions[session_key] = session
                         shard_span.set(session="cold")

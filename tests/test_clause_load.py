@@ -173,9 +173,33 @@ def test_load_on_top_of_existing_clauses(first, second):
         assert internals(loaded) == internals(oracle), (backend, search)
 
 
-def test_open_layer_takes_the_per_clause_path():
+def assert_same_layered_load(wcnf: WCNF, depth: int) -> None:
+    """Bulk load into ``depth`` nested open layers equals per-clause load,
+    layer tagging and each layer's clause list included, and the layers
+    pop back to the same state."""
+    for backend, search in COMBOS:
+        loaded, oracle = Solver(backend, search), Solver(backend, search)
+        for solver in (loaded, oracle):
+            solver.ensure_vars(wcnf.num_vars)
+            for _ in range(depth):
+                solver.add_clause([1, -2])  # an outer layer's own clause
+                solver.push()
+        assert bulk(loaded, wcnf) == per_clause(oracle, wcnf)
+        assert internals(loaded) == internals(oracle), (backend, search)
+        for mine, theirs in zip(loaded._layers, oracle._layers):
+            assert mine.clauses == theirs.clauses
+        loaded.check_invariants()
+        for _ in range(depth):
+            loaded.pop()
+            oracle.pop()
+            assert internals(loaded) == internals(oracle), (backend, search)
+            loaded.check_invariants()
+
+
+def test_open_layer_bulk_load_equals_per_clause():
     """With a layer open the clauses are layer-tagged, exactly as
-    add_clause tags them."""
+    add_clause tags them: ``-selector`` of the innermost layer goes after
+    the range selector."""
     wcnf = WCNF()
     wcnf._num_vars = 4
     wcnf.add_hard([1, 2])
@@ -189,6 +213,65 @@ def test_open_layer_takes_the_per_clause_path():
         per_clause(oracle, wcnf)
         assert internals(loaded) == internals(oracle)
         assert loaded._layers[0].clauses == oracle._layers[0].clauses
+        last = loaded._layers[0].clauses[-1]
+        body = loaded._arena[last + 5 : last + 5 + (loaded._arena[last] >> 2)]
+        assert [Solver._to_external(lit) for lit in body] == [
+            4, -wcnf.range_sels[1], -loaded._layers[0].selector
+        ]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_nested_layers_bulk_load_equals_per_clause(depth):
+    wcnf = WCNF()
+    wcnf._num_vars = 6
+    wcnf.add_hard([1, 2])
+    wcnf.add_hard([5])
+    wcnf.add_soft_group([[-1, 3], [4], [4, -4]])
+    wcnf.add_hard([-5, 6, 6])
+    assert_same_layered_load(wcnf, depth)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grouped_cnfs(), st.integers(min_value=1, max_value=3))
+def test_generated_cnf_loads_into_layers_like_add_clause(wcnf, depth):
+    """Range selectors, units, tautologies and root-false literals under
+    one to three open layers."""
+    wcnf._num_vars = max(wcnf.num_vars, 2)
+    assert_same_layered_load(wcnf, depth)
+
+
+def test_kept_trail_falls_back_to_the_per_clause_loop(monkeypatch):
+    """Under a kept assumption trail the clauses go through add_clause
+    (which places them under the trail), never through the C loader."""
+    wcnf = WCNF()
+    wcnf._num_vars = 6
+    wcnf.add_hard([-1, 3, 4])
+    wcnf.add_hard([-2, -3])
+    wcnf.add_soft_group([[5, 6], [-1, -4]])
+    calls = []
+    real = Solver.add_clause
+
+    def spy(self, lits):
+        calls.append(list(lits))
+        return real(self, lits)
+
+    for backend, search in COMBOS:
+        loaded, oracle = Solver(backend, search), Solver(backend, search)
+        for solver in (loaded, oracle):
+            solver.ensure_vars(wcnf.num_vars)
+            solver.add_clause([1, 2, 5])
+            solver.push()
+            assert solver.solve([1, 2])
+            assert solver._trail_lim  # the assumption levels are kept
+        monkeypatch.setattr(Solver, "add_clause", spy)
+        calls.clear()
+        bulk(loaded, wcnf)
+        monkeypatch.setattr(Solver, "add_clause", real)
+        assert calls == wcnf.hard
+        per_clause(oracle, wcnf)
+        assert internals(loaded) == internals(oracle), (backend, search)
+        assert loaded._layers[0].clauses == oracle._layers[0].clauses
+        loaded.check_invariants()
 
 
 # ------------------------------------------------------------- bad buffers

@@ -382,6 +382,12 @@ class TestSessionTracing:
         assert {"bmc.compile", "session.localize", "solve.comss"} <= set(spans)
         assert spans["solve.comss"]["parent_id"] == spans["session.localize"]["span_id"]
         assert spans["session.localize"]["trace_id"] == handle.trace_id
+        # The per-test layer's load and pop are spans of their own.
+        for name in ("session.layer_load", "session.layer_pop"):
+            assert spans[name]["parent_id"] == spans["session.localize"]["span_id"]
+        assert spans["session.layer_load"]["attrs"]["clauses"] > 0
+        pop = spans["session.layer_pop"]["attrs"]
+        assert pop["clauses"] > 0 and pop["stale_learnts"] >= 0
         # The solver-effort attributes ride the solve span.
         assert spans["solve.comss"]["attrs"]["sat_calls"] > 0
         # And the request profile names the trace it ran under.

@@ -157,6 +157,79 @@ class TestClauseRetention:
         assert set(completed) == {1, 2, 3}
 
 
+class TestModelView:
+    """get_model() is a lazy mapping over the model snapshot: it reads like
+    the eager ``{var: bool}`` dict, and writes stay in its own overlay."""
+
+    @staticmethod
+    def _solved(*backends):
+        solver = Solver(*backends)
+        solver.ensure_vars(5)
+        solver.add_clause([1])
+        solver.add_clause([-1, -2])
+        solver.add_clause([2, 3, -4])
+        assert solver.solve([4])
+        solver.ensure_vars(7)  # allocated after the solve: not in the model
+        return solver
+
+    @staticmethod
+    def _eager(solver):
+        """The dict get_model() used to build."""
+        return {
+            var: solver.model_value(var)
+            for var in range(1, solver.num_vars + 1)
+            if solver.model_value(var) is not None
+        }
+
+    @pytest.mark.parametrize("backend", ["python", None])
+    def test_reads_like_the_eager_dict(self, backend):
+        solver = self._solved(backend)
+        view = solver.get_model()
+        eager = self._eager(solver)
+        assert view == eager and eager == view
+        assert dict(view) == eager
+        assert list(view) == list(eager)
+        assert list(view.items()) == list(eager.items())
+        assert len(view) == len(eager) == 5
+        for var in range(-1, 10):
+            assert (var in view) == (var in eager)
+            assert view.get(var) == eager.get(var)
+            assert view.get(var, "absent") == eager.get(var, "absent")
+        assert "x" not in view and view.get("x") is None
+        with pytest.raises(KeyError):
+            view[6]
+        assert view[1] is True and view[2] is False
+
+    def test_writes_stay_in_the_overlay(self):
+        solver = self._solved()
+        view = solver.get_model()
+        eager = self._eager(solver)
+        for mapping in (view, eager):
+            mapping[7] = True  # not in the model, completed by the caller
+            mapping[1] = False  # an assigned variable, overwritten
+        assert view == eager
+        assert list(view.items()) == list(eager.items())
+        assert len(view) == 6
+        # Neither the solver nor a later view sees the writes.
+        assert solver.model_value(1) is True
+        assert solver.model_value(7) is None
+        fresh = solver.get_model()
+        assert fresh[1] is True and 7 not in fresh
+        del view[3]
+        del eager[3]
+        assert view == eager and list(view) == list(eager)
+        assert solver.model_value(3) is not None
+
+    def test_view_survives_later_solves(self):
+        solver = self._solved()
+        view = solver.get_model()
+        before = dict(view)
+        solver.add_clause([-3])
+        assert solver.solve([-4])
+        assert dict(view) == before
+        assert solver.get_model() != view
+
+
 class TestAssumptions:
     def test_sat_under_assumptions(self):
         solver = Solver()

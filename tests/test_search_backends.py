@@ -350,6 +350,181 @@ class TestDifferentialMatrix:
             ], combo
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_analyze_final_c_matches_python(self, seed):
+        """The C trail walk yields the Python walk's core, in list order."""
+        rng = random.Random(13000 + seed)
+        clauses = _random_3sat(13500 + seed, num_vars=14, num_clauses=50)
+        solvers = _quartet()
+        compared: list[list[int]] = []
+        for solver in solvers:
+            if solver._flat:
+                _check_analyze_final(solver, compared)
+            for clause in clauses:
+                solver.add_clause(list(clause))
+        for _ in range(12):
+            assumptions = [
+                var if rng.random() < 0.5 else -var
+                for var in rng.sample(range(1, 15), rng.randint(3, 8))
+            ]
+            results = [solver.solve(list(assumptions)) for solver in solvers]
+            _assert_all_same(solvers, results)
+            if not results[0]:
+                cores = [solver.unsat_core() for solver in solvers]
+                assert all(core == cores[0] for core in cores), cores
+        assert any(len(decisions) > 1 for decisions in compared)
+
+
+def _check_analyze_final(solver: Solver, compared: list) -> None:
+    """Make every core extraction of a flat solver run both trail walks on
+    the same state and compare them, walk order included."""
+    walk_c = solver._final_decisions_c
+
+    def both(failed: int):
+        expected = solver._final_decisions_python(failed)
+        assert not any(solver._seen)
+        decisions = walk_c(failed)
+        assert not any(solver._seen)
+        assert list(decisions) == expected
+        compared.append(expected)
+        return decisions
+
+    solver._final_decisions_c = both
+
+
+#: Arena words before a clause's literals, and the dead-clause header flag.
+_HDR = 5
+_FLAG_DEAD = 2
+
+
+def _sequential_unlink(arena: list, heads: list, refs) -> None:
+    """One clause at a time: find each watcher of the clause in its
+    literal's list and splice it out (the detach the sweep replaced)."""
+    for ref in refs:
+        for slot in (0, 1):
+            lit = arena[ref + _HDR + slot]
+            target = (ref << 1) | slot
+            current = heads[lit]
+            if current == target:
+                heads[lit] = arena[ref + 1 + slot]
+                continue
+            while current:
+                link = (current >> 1) + 1 + (current & 1)
+                following = arena[link]
+                if following == target:
+                    arena[link] = arena[ref + 1 + slot]
+                    break
+                current = following
+
+
+def _check_detach_all(solver: Solver, retracted: list) -> None:
+    """Check every ``_detach_all`` of the solver against the sequential
+    unlink on a copy: heads, every arena word but a retracted clause's own
+    (garbage) link words, reasons and the garbage count."""
+    sweep = solver._detach_all
+
+    def checked(refs, clear_reasons=False):
+        arena = list(solver._arena[: solver._arena_len])
+        heads = list(solver._heads)
+        reasons = list(solver._reason)
+        garbage = solver._garbage
+        _sequential_unlink(arena, heads, refs)
+        for ref in refs:
+            arena[ref] |= _FLAG_DEAD
+            garbage += (arena[ref] >> 2) + _HDR
+        if clear_reasons:
+            dead = set(refs)
+            reasons = [0 if reason in dead else reason for reason in reasons]
+        sweep(refs, clear_reasons)
+        after = list(solver._arena[: solver._arena_len])
+        for ref in refs:
+            after[ref + 1 : ref + 3] = arena[ref + 1 : ref + 3]
+        assert after == arena
+        assert list(solver._heads) == heads
+        assert list(solver._reason) == reasons
+        assert solver._garbage == garbage
+        retracted.append(len(refs))
+
+    solver._detach_all = checked
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_layer_churn_unlinks_like_sequential_detach(seed):
+    """Random push/add/solve/pop and learnt-database reduction on every
+    backend combination: each retraction leaves the watch lists exactly as
+    the sequential detach would, and the combinations stay identical."""
+    rng = random.Random(14000 + seed)
+    solvers = _quartet()
+    retracted: list[list[int]] = [[] for _ in solvers]
+    for solver, log in zip(solvers, retracted):
+        _check_detach_all(solver, log)
+        for clause in _random_3sat(14500 + seed, num_vars=30, num_clauses=100):
+            solver.add_clause(clause)
+    for _ in range(60):
+        roll = rng.random()
+        depth = solvers[0].num_layers
+        if roll < 0.2 and depth < 3:
+            for solver in solvers:
+                solver.push()
+        elif roll < 0.4 and depth:
+            assert len({solver.pop() for solver in solvers}) == 1
+            for solver in solvers:
+                solver.check_invariants()
+        elif roll < 0.65 and depth:
+            clauses = _random_3sat(rng.randint(0, 10_000), 30, rng.randint(1, 12))
+            for solver in solvers:
+                for clause in clauses:
+                    solver.add_clause(clause)
+        elif roll < 0.9:
+            assumptions = [
+                rng.choice([-1, 1]) * rng.randint(1, 30) for _ in range(rng.randint(0, 4))
+            ]
+            _assert_all_same(solvers, [solver.solve(assumptions) for solver in solvers])
+        else:
+            for solver in solvers:
+                solver._reduce_db()
+                solver.check_invariants()
+        reference = solvers[0]
+        for combo, solver in zip(COMBOS[1:], solvers[1:]):
+            assert list(solver._arena[: solver._arena_len]) == list(
+                reference._arena[: reference._arena_len]
+            ), combo
+            assert list(solver._heads) == list(reference._heads), combo
+    assert all(log == retracted[0] for log in retracted)
+    assert retracted[0], "no clause was ever retracted"
+    assert solvers[0].stats.deleted_clauses, "no learnt clause was ever reduced"
+
+
+@pytest.mark.parametrize("combo", COMBOS)
+def test_pop_clears_a_root_reason_naming_a_layer_clause(combo):
+    """Two units learnt at the root (1 and -3) make the layer clause
+    [-1, 3, -s] imply -s at level 0, so the pop retracts a clause that is
+    a root reason; the reason must be cleared."""
+    solver = Solver(*combo)
+    retracted: list[int] = []
+    _check_detach_all(solver, retracted)
+    for clause in ([1, 2], [1, -2], [-3, 4], [-3, -4]):
+        solver.add_clause(clause)
+    selector = solver.push()
+    solver.add_clause([-1, 3])
+    assert not solver.solve()
+    layer_clause = solver._layers[0].clauses[0]
+    assert solver.root_value(-selector) is True
+    assert solver._reason[selector] == layer_clause
+    solver.pop()
+    assert retracted == [1]
+    assert solver._reason[selector] == 0
+    solver.check_invariants()
+
+
+def _random_3sat(seed: int, num_vars: int, num_clauses: int) -> list[list[int]]:
+    rng = random.Random(seed)
+    return [
+        [var if rng.random() < 0.5 else -var for var in rng.sample(range(1, num_vars + 1), 3)]
+        for _ in range(num_clauses)
+    ]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(

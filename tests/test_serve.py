@@ -455,6 +455,20 @@ class TestDaemon:
             assert report["sessions"] <= 4
             assert report["encodings_built"] == 0
 
+    def test_removed_warm_start_option_is_an_unknown_option(self, daemon):
+        with Client(tcp=daemon.tcp_address) as client:
+            errors = []
+            for option in ("warm_start", "no_such_option"):
+                with pytest.raises(ServeError) as caught:
+                    client.localize(
+                        test=[1], spec=SPEC_ZERO, program=CLASSIFY,
+                        options={"name": "classify", option: True},
+                    )
+                errors.append(str(caught.value).replace(option, "<option>"))
+            assert errors[0] == errors[1]
+            assert "unknown compile option '<option>'" in errors[0]
+            assert client.stats()["ok"] is True
+
     def test_errors_are_answered_not_fatal(self, daemon):
         with Client(tcp=daemon.tcp_address) as client:
             with pytest.raises(ServeError, match="unknown op"):

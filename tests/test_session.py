@@ -228,9 +228,8 @@ def one_shot_oracle(compiled, inputs, spec, hard_lines=(), strategy="hitting-set
                     max_candidates=25):
     """Algorithm 1 for one failing test the one-shot way: a fresh MaxSAT
     instance with the test's units as plain hard clauses and a fresh engine
-    — no push/pop layer, no warm-start phases, no static pruning.  The
-    reference the session (and the localizer on top of it) is checked
-    against."""
+    — no push/pop layer, no static pruning.  The reference the session (and
+    the localizer on top of it) is checked against."""
     wcnf, _ = compiled.to_wcnf(hard_groups=set(hard_lines) or None)
     clauses, test_inputs = compiled.test_clauses(inputs, spec)
     for clause in clauses:
